@@ -131,12 +131,12 @@ def _k_accumulate(xi, params: KawamuraParams, backend: WordModBackend) -> int:
 
     sigma starts at alpha_fp; each channel adds the top q bits of xi_i;
     every overflow past 2^q is one unit of k.  Plain integer-unit work:
-    two shifts, two adds and one mask per channel.
+    two shifts, two adds and one mask per channel, ticked as raw counts.
     """
     q = params.q
     sh = params.base.w - q
     qmask = (1 << q) - 1
-    cnt = backend.counters
+    cnt = backend.raw
     n = len(xi)
     cnt.shift += 2 * n
     cnt.word_add += 2 * n

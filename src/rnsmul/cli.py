@@ -1,6 +1,7 @@
 """Command-line harness: base generation, verification, benchmark sweeps,
-instruction encoding.  Exit codes: 0 success, 1 verification failure,
-2 usage error."""
+instruction encoding.  Exit codes: 0 success, 1 verification failure or a
+run that cannot complete (sieve exhausted, output not writable), 2 usage
+error."""
 
 from __future__ import annotations
 
@@ -22,8 +23,22 @@ def _parse_channels(text: str):
             lo, hi, step = parts
         else:
             raise argparse.ArgumentTypeError(f"bad channel range {text!r}")
-        return tuple(range(lo, hi + 1, step))
-    return tuple(int(t) for t in text.split(","))
+        counts = tuple(range(lo, hi + 1, step))
+    else:
+        counts = tuple(int(t) for t in text.split(","))
+    if not counts:
+        raise argparse.ArgumentTypeError(f"channel range {text!r} is empty")
+    for n in counts:
+        if n < 2 or n % 2:
+            raise argparse.ArgumentTypeError(f"channel count {n} must be even and >= 2")
+    return counts
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not a positive integer")
+    return n
 
 
 def _width(text: str) -> int:
@@ -91,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset", type=_csv_choices(("default", "long")), default=("default", "long")
     )
     b.add_argument("--seed", type=int, default=1)
-    b.add_argument("--repetitions", type=int, default=1)
+    b.add_argument("--repetitions", type=_positive_int, default=1)
     b.add_argument("--base", default=None, help="take moduli from a base file")
     b.add_argument("--out", required=True, help="CSV output path")
 
@@ -172,13 +187,17 @@ def cmd_bench(args) -> int:
         repetitions=args.repetitions,
         moduli_pool=moduli_pool,
     )
-    reports, ratios = bench.run_sweep(cfg)
     out = Path(args.out)
-    with open(out, "w") as fp:
-        bench.write_rows(reports, fp)
     ratios_path = out.with_name(out.stem + "_ratios" + (out.suffix or ".csv"))
-    with open(ratios_path, "w") as fp:
-        bench.write_ratios(ratios, fp)
+    # both outputs are opened before the sweep, so a bad path fails fast
+    try:
+        with open(out, "w") as fp, open(ratios_path, "w") as ratios_fp:
+            reports, ratios = bench.run_sweep(cfg)  # ValueError: e.g. sieve exhausted
+            bench.write_rows(reports, fp)
+            bench.write_ratios(ratios, ratios_fp)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(reports)} rows to {out} and {len(ratios)} ratios to {ratios_path}")
     return 0
 

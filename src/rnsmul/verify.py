@@ -135,7 +135,7 @@ def suite_rnscore(seed: int) -> SuiteResult:
     return res
 
 
-def _extension_fixture(w8: bool = True):
+def _extension_fixture():
     src = RnsBase((251, 247), 8)
     dst = RnsBase((255, 253, 241), 8)
     return src, dst, ExtensionPair(src, dst)

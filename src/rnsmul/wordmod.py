@@ -7,14 +7,20 @@ Three interchangeable strategies compute (a op b) mod m on w-bit words:
 * ``PseudoMersenne`` -- division-free folding for moduli m = 2^w - c,
 * ``InstructionSim`` -- fused modular instructions, one counter tick per op.
 
-All three return identical values on identical inputs; they only differ in
-which operation classes they charge.  Backends own mutable counters, so one
-instance must not be shared between threads.
+The strategies return identical values on identical inputs and differ only
+in what one modular add, sub, mul or reduction costs.  So the value path is
+written once, in ``WordModBackend``, and a kind is a row of
+``WordModBackend.COSTS``: the counters one op of each class ticks.
+``PseudoMersenne`` adds its modulus-form validation and ``pm_reduce``, the
+folding reduction; its scalar ``mulmod`` runs through ``pm_reduce`` and is
+the tested reference for the folding.  Backends own mutable counters, so
+one instance must not be shared between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from operator import mul as _mul
 from typing import NamedTuple
 
@@ -37,12 +43,15 @@ class PmModulus(NamedTuple):
     mask: int
 
 
+@lru_cache(maxsize=1024)
 def pm_modulus(m: int, w: int) -> PmModulus:
     """Validate that m has pseudo-Mersenne form and package its parameters.
 
     Requires m = 2^w - c with c odd and 1 <= c < 2^(w/2).  The bound on c
     keeps the three folding passes of the reduction inside double-width
-    intermediates; oddness makes every accepted modulus odd.
+    intermediates; oddness makes every accepted modulus odd.  Results are
+    cached, since every scalar op of the pseudo-Mersenne kind validates
+    its modulus.
     """
     check_width(w)
     c = (1 << w) - m
@@ -56,11 +65,11 @@ def pm_modulus(m: int, w: int) -> PmModulus:
 
 @dataclass
 class OpCounters:
-    """Per-backend tally of executed operation classes.
+    """Tally of executed operation classes.
 
     word_add/word_sub/word_mul/shift/mask are ordinary integer-unit ops,
     div_mod is the hardware divide/modulo unit, and modadd/modsub/modmul
-    are the fused modular instructions.  Counters only grow until reset().
+    are the fused modular instructions.
     """
 
     word_add: int = 0
@@ -73,13 +82,6 @@ class OpCounters:
     modsub: int = 0
     modmul: int = 0
 
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-    def snapshot(self) -> "OpCounters":
-        return OpCounters(**self.as_dict())
-
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -87,8 +89,11 @@ class OpCounters:
         return sum(self.as_dict().values())
 
 
+OPS = ("add", "sub", "mul", "red")
+
+
 class WordModBackend:
-    """Base class: validation, counters, and generic vector kernels.
+    """The one value path: validation, scalar ops, vector kernels.
 
     Scalar ops (addmod/submod/mulmod/redmod) enforce the reduced-input
     contract: operands of addmod/submod/mulmod must already be canonical
@@ -96,16 +101,50 @@ class WordModBackend:
     gate accepting an arbitrary w-bit word (it canonicalizes words crossing
     between channels with different moduli).
 
-    The vec_*/dot_mod/submul kernels apply one op per element and tally
-    counters in bulk; dot_mod and submul accumulate with deferred reduction,
-    which yields the exact same residues as the op-by-op chain.
+    Every op counts one event of its class; the vec_*/dot_mod/submul
+    kernels count k events at once.  dot_mod and submul accumulate with
+    deferred reduction, which yields the exact same residues as the
+    op-by-op chain.  ``counters`` is derived on each read as the raw ticks
+    plus every event times its ``COSTS`` row; work that is no modular op
+    (pm_reduce's folds, the Kawamura accumulator) ticks ``raw`` directly.
     """
 
-    kind = "abstract"
+    # kind -> op class -> counter deltas of one op
+    COSTS = {
+        "modulo": {
+            "add": {"word_add": 1, "div_mod": 1},
+            # portable C form (a + m - b) % m: add, sub, then the remainder
+            "sub": {"word_add": 1, "word_sub": 1, "div_mod": 1},
+            "mul": {"word_mul": 1, "div_mod": 1},
+            "red": {"div_mod": 1},
+        },
+        "pm": {
+            # add, sub and red need one conditional correction each, since
+            # every accepted modulus exceeds 2^(w-1); mul is the product plus
+            # pm_reduce's three folds and final subtraction
+            "add": {"word_add": 1, "word_sub": 1},
+            "sub": {"word_add": 1, "word_sub": 1},
+            "mul": {"word_mul": 4, "shift": 3, "mask": 3, "word_add": 3, "word_sub": 1},
+            "red": {"word_sub": 1},
+        },
+        "inst": {
+            "add": {"modadd": 1},
+            "sub": {"modsub": 1},
+            "mul": {"modmul": 1},
+            # redmod is realized as an addmod with zero
+            "red": {"modadd": 1},
+        },
+    }
 
     def __init__(self, w: int = 64):
         self.width = check_width(w)
-        self.counters = OpCounters()
+        # the cost rows flattened to (counter, op index, delta) terms
+        self._terms = [
+            (name, i, delta)
+            for i, op in enumerate(OPS)
+            for name, delta in self.COSTS[self.kind][op].items()
+        ]
+        self.reset_counters()
 
     # -- validation helpers ------------------------------------------------
 
@@ -122,67 +161,71 @@ class WordModBackend:
                 f"unreduced operand for modulus {m}: a={a}, b={b} (caller bug)"
             )
 
-    # -- scalar operations (implemented by subclasses) ---------------------
+    def check_base(self, base):
+        """Validate a base for this backend and return its moduli."""
+        return base.moduli
+
+    # -- scalar operations ---------------------------------------------------
 
     def addmod(self, a: int, b: int, m: int) -> int:
         self._check_reduced(a, b, m)
-        return self._addmod(a, b, m)
+        self.n_add += 1
+        return (a + b) % m
 
     def submod(self, a: int, b: int, m: int) -> int:
         self._check_reduced(a, b, m)
-        return self._submod(a, b, m)
+        self.n_sub += 1
+        return (a - b) % m
 
     def mulmod(self, a: int, b: int, m: int) -> int:
         self._check_reduced(a, b, m)
-        return self._mulmod(a, b, m)
+        self.n_mul += 1
+        return a * b % m
 
     def redmod(self, a: int, m: int) -> int:
         """Canonicalize an arbitrary w-bit word into [0, m)."""
         self._check_modulus(m)
         if not 0 <= a < (1 << self.width):
             raise ValueError(f"redmod operand {a} exceeds {self.width} bits")
-        return self._redmod(a, m)
-
-    def _addmod(self, a, b, m):
-        raise NotImplementedError
-
-    def _submod(self, a, b, m):
-        raise NotImplementedError
-
-    def _mulmod(self, a, b, m):
-        raise NotImplementedError
-
-    def _redmod(self, a, m):
-        raise NotImplementedError
+        self.n_red += 1
+        return a % m
 
     # -- counter access -----------------------------------------------------
 
+    @property
+    def counters(self) -> OpCounters:
+        """Live totals, derived on each read: a read-only view.  Assigning
+        to the property fails and changing the returned object changes
+        nothing; tick ``raw`` to count work outside the cost table."""
+        totals = vars(self.raw).copy()
+        events = (self.n_add, self.n_sub, self.n_mul, self.n_red)
+        for name, i, delta in self._terms:
+            totals[name] += events[i] * delta
+        return OpCounters(**totals)
+
     def reset_counters(self) -> None:
-        self.counters.reset()
+        self.raw = OpCounters()
+        self.n_add = self.n_sub = self.n_mul = self.n_red = 0
 
     def read_counters(self) -> OpCounters:
-        return self.counters.snapshot()
+        return self.counters
 
     # -- vector kernels (channel-parallel fast paths) ------------------------
 
-    def check_base(self, base):
-        """Validate a base for this backend and return its moduli."""
-        return base.moduli
-
     def vec_mul(self, xs, ys, base):
         mods = self.check_base(base)
-        self._tally_mul(len(mods))
-        return self._vec_mul(xs, ys, mods)
+        self.n_mul += len(mods)
+        return [x * y % m for x, y, m in zip(xs, ys, mods)]
 
     def vec_add(self, xs, ys, base):
         mods = self.check_base(base)
-        self._tally_add(len(mods))
-        return self._vec_add(xs, ys, mods)
+        self.n_add += len(mods)
+        return [(x + y) % m for x, y, m in zip(xs, ys, mods)]
 
     def vec_sub(self, xs, ys, base):
         mods = self.check_base(base)
-        self._tally_sub(len(mods))
-        return self._vec_sub(xs, ys, mods)
+        self.n_sub += len(mods)
+        return [(x - y) % m for x, y, m in zip(xs, ys, mods)]
 
     def dot_mod(self, values, col, m):
         """Sum of products sum_i red(values[i]) * col[i] reduced mod m.
@@ -194,7 +237,11 @@ class WordModBackend:
         which is congruence-preserving and therefore bit-identical to the
         op-by-op chain.
         """
-        self._tally_dot(len(values))
+        k = len(values)
+        if k:
+            self.n_red += k
+            self.n_mul += k
+            self.n_add += k - 1
         return sum(map(_mul, values, col)) % m
 
     def submul(self, d, rs, invs, mods):
@@ -205,42 +252,10 @@ class WordModBackend:
         reduction like dot_mod.
         """
         k = len(mods)
-        self._tally_submul(k)
+        self.n_red += k
+        self.n_sub += k
+        self.n_mul += k
         return [(r - d) % m * inv % m for r, inv, m in zip(rs, invs, mods)]
-
-    def _tally_dot(self, k):
-        self._tally_red(k)
-        self._tally_mul(k)
-        if k > 1:
-            self._tally_add(k - 1)
-
-    def _tally_submul(self, k):
-        self._tally_red(k)
-        self._tally_sub(k)
-        self._tally_mul(k)
-
-    # -- bulk counting hooks -------------------------------------------------
-
-    def _tally_add(self, k):
-        raise NotImplementedError
-
-    def _tally_sub(self, k):
-        raise NotImplementedError
-
-    def _tally_mul(self, k):
-        raise NotImplementedError
-
-    def _tally_red(self, k):
-        raise NotImplementedError
-
-    def _vec_mul(self, xs, ys, mods):
-        raise NotImplementedError
-
-    def _vec_add(self, xs, ys, mods):
-        raise NotImplementedError
-
-    def _vec_sub(self, xs, ys, mods):
-        raise NotImplementedError
 
 
 class NaiveModulo(WordModBackend):
@@ -248,85 +263,24 @@ class NaiveModulo(WordModBackend):
 
     kind = "modulo"
 
-    def _addmod(self, a, b, m):
-        c = self.counters
-        c.word_add += 1
-        c.div_mod += 1
-        return (a + b) % m
-
-    def _submod(self, a, b, m):
-        # portable C form (a + m - b) % m: add, sub, then the remainder
-        c = self.counters
-        c.word_add += 1
-        c.word_sub += 1
-        c.div_mod += 1
-        return (a + m - b) % m
-
-    def _mulmod(self, a, b, m):
-        c = self.counters
-        c.word_mul += 1
-        c.div_mod += 1
-        return a * b % m
-
-    def _redmod(self, a, m):
-        self.counters.div_mod += 1
-        return a % m
-
-    def _tally_add(self, k):
-        c = self.counters
-        c.word_add += k
-        c.div_mod += k
-
-    def _tally_sub(self, k):
-        c = self.counters
-        c.word_add += k
-        c.word_sub += k
-        c.div_mod += k
-
-    def _tally_mul(self, k):
-        c = self.counters
-        c.word_mul += k
-        c.div_mod += k
-
-    def _tally_red(self, k):
-        self.counters.div_mod += k
-
-    def _tally_dot(self, k):
-        c = self.counters
-        c.word_mul += k
-        c.word_add += k - 1
-        c.div_mod += 3 * k - 1
-
-    def _tally_submul(self, k):
-        c = self.counters
-        c.word_mul += k
-        c.word_add += k
-        c.word_sub += k
-        c.div_mod += 3 * k
-
-    def _vec_mul(self, xs, ys, mods):
-        return [x * y % m for x, y, m in zip(xs, ys, mods)]
-
-    def _vec_add(self, xs, ys, mods):
-        return [(x + y) % m for x, y, m in zip(xs, ys, mods)]
-
-    def _vec_sub(self, xs, ys, mods):
-        return [(x + m - y) % m for x, y, m in zip(xs, ys, mods)]
-
 
 class PseudoMersenne(WordModBackend):
     """Folding reduction for pseudo-Mersenne moduli m = 2^w - c.
 
-    mulmod forms the double-width product and folds it with pm_reduce;
-    addmod/submod use a single conditional correction, valid because
-    every accepted modulus exceeds 2^(w-1).  Using any modulus that is
-    not pseudo-Mersenne form is a configuration error.
+    Using any modulus that is not pseudo-Mersenne form is a configuration
+    error.  The scalar mulmod forms the double-width product and folds it
+    with pm_reduce, the reference the cost row of "mul" describes.
     """
 
     kind = "pm"
 
-    def _pm(self, m: int) -> PmModulus:
-        return pm_modulus(m, self.width)
+    def _check_modulus(self, m: int) -> None:
+        # pseudo-Mersenne form implies 2 <= m < 2^w
+        pm_modulus(m, self.width)
+
+    def check_base(self, base):
+        base.pm_params(self.width)  # raises if any channel is not PM form
+        return base.moduli
 
     def pm_reduce(self, a: int, pm: PmModulus) -> int:
         """Reduce a double-width value to the canonical residue mod pm.m.
@@ -339,7 +293,7 @@ class PseudoMersenne(WordModBackend):
         w = pm.w
         if not 0 <= a < (1 << (2 * w)):
             raise ValueError(f"pm_reduce operand {a} exceeds {2 * w} bits")
-        cnt = self.counters
+        cnt = self.raw
         cnt.word_mul += 3
         cnt.shift += 3
         cnt.mask += 3
@@ -352,162 +306,16 @@ class PseudoMersenne(WordModBackend):
         t = (t & mask) + c * (t >> w)
         return t - pm.m if t >= pm.m else t
 
-    def _addmod(self, a, b, m):
-        self._pm(m)
-        c = self.counters
-        c.word_add += 1
-        c.word_sub += 1
-        s = a + b
-        return s - m if s >= m else s
-
-    def _submod(self, a, b, m):
-        self._pm(m)
-        c = self.counters
-        c.word_sub += 1
-        c.word_add += 1
-        s = a - b
-        return s + m if s < 0 else s
-
-    def _mulmod(self, a, b, m):
-        pm = self._pm(m)
-        self.counters.word_mul += 1
-        return self.pm_reduce(a * b, pm)
-
-    def _redmod(self, a, m):
-        # any w-bit word is below 2m because m > 2^(w-1)
-        self._pm(m)
-        self.counters.word_sub += 1
-        return a - m if a >= m else a
-
-    def check_base(self, base):
-        base.pm_params(self.width)  # raises if any channel is not PM form
-        return base.moduli
-
-    def _tally_add(self, k):
-        c = self.counters
-        c.word_add += k
-        c.word_sub += k
-
-    def _tally_sub(self, k):
-        c = self.counters
-        c.word_sub += k
-        c.word_add += k
-
-    def _tally_mul(self, k):
-        c = self.counters
-        c.word_mul += 4 * k
-        c.shift += 3 * k
-        c.mask += 3 * k
-        c.word_add += 3 * k
-        c.word_sub += k
-
-    def _tally_red(self, k):
-        self.counters.word_sub += k
-
-    def _tally_dot(self, k):
-        c = self.counters
-        c.word_mul += 4 * k
-        c.shift += 3 * k
-        c.mask += 3 * k
-        c.word_add += 4 * k - 1
-        c.word_sub += 3 * k - 1
-
-    def _tally_submul(self, k):
-        c = self.counters
-        c.word_mul += 4 * k
-        c.shift += 3 * k
-        c.mask += 3 * k
-        c.word_add += 4 * k
-        c.word_sub += 3 * k
-
-    def _vec_mul(self, xs, ys, mods):
-        w = self.width
-        mask = (1 << w) - 1
-        out = []
-        push = out.append
-        for x, y, m in zip(xs, ys, mods):
-            c = mask + 1 - m
-            t = x * y
-            f = c * (t >> w)
-            f = (t & mask) + (f & mask) + c * (f >> w)
-            f = (f & mask) + c * (f >> w)
-            push(f - m if f >= m else f)
-        return out
-
-    def _vec_add(self, xs, ys, mods):
-        out = []
-        push = out.append
-        for x, y, m in zip(xs, ys, mods):
-            s = x + y
-            push(s - m if s >= m else s)
-        return out
-
-    def _vec_sub(self, xs, ys, mods):
-        out = []
-        push = out.append
-        for x, y, m in zip(xs, ys, mods):
-            s = x - y
-            push(s + m if s < 0 else s)
-        return out
+    def mulmod(self, a: int, b: int, m: int) -> int:
+        self._check_reduced(a, b, m)
+        self.raw.word_mul += 1
+        return self.pm_reduce(a * b, pm_modulus(m, self.width))
 
 
 class InstructionSim(WordModBackend):
-    """Fused modular instructions: one counter tick per modular op.
-
-    Results are computed with ordinary double-width arithmetic; only the
-    accounting differs from the other kinds (timing lives in the cost
-    model, not here).  redmod is realized as an addmod with zero.
-    """
+    """Fused modular instructions: one counter tick per modular op."""
 
     kind = "inst"
-
-    def _addmod(self, a, b, m):
-        self.counters.modadd += 1
-        return (a + b) % m
-
-    def _submod(self, a, b, m):
-        self.counters.modsub += 1
-        return (a - b) % m
-
-    def _mulmod(self, a, b, m):
-        self.counters.modmul += 1
-        return a * b % m
-
-    def _redmod(self, a, m):
-        self.counters.modadd += 1
-        return a % m
-
-    def _tally_add(self, k):
-        self.counters.modadd += k
-
-    def _tally_sub(self, k):
-        self.counters.modsub += k
-
-    def _tally_mul(self, k):
-        self.counters.modmul += k
-
-    def _tally_red(self, k):
-        self.counters.modadd += k
-
-    def _tally_dot(self, k):
-        c = self.counters
-        c.modadd += 2 * k - 1
-        c.modmul += k
-
-    def _tally_submul(self, k):
-        c = self.counters
-        c.modadd += k
-        c.modsub += k
-        c.modmul += k
-
-    def _vec_mul(self, xs, ys, mods):
-        return [x * y % m for x, y, m in zip(xs, ys, mods)]
-
-    def _vec_add(self, xs, ys, mods):
-        return [(x + y) % m for x, y, m in zip(xs, ys, mods)]
-
-    def _vec_sub(self, xs, ys, mods):
-        return [(x - y) % m for x, y, m in zip(xs, ys, mods)]
 
 
 BACKEND_KINDS = {

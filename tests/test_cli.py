@@ -134,3 +134,37 @@ def test_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--repetitions", "0"],
+        ["--repetitions", "-1"],
+        ["--channels", "7"],
+        ["--channels", "8:4"],
+    ],
+)
+def test_bench_usage_error_argument_values(args, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", *args, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+
+
+def test_bench_sieve_exhausted(tmp_path, capsys):
+    assert main(["bench", "-w", "8", "--channels", "8", "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exhausted" in err and err.count("\n") == 1
+
+
+def test_bench_unwritable_out_fails_before_sweep(tmp_path, capsys, monkeypatch):
+    import rnsmul.bench
+
+    def no_sweep(cfg):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(rnsmul.bench, "run_sweep", no_sweep)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["bench", "--channels", "8", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

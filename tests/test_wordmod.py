@@ -267,3 +267,56 @@ def test_submul_matches_op_chain():
         ]
         assert got == want
         assert fused.read_counters() == chained.read_counters()
+
+
+def test_cost_table_pins_per_op_and_kernel_deltas():
+    """One call's counter delta per kind and op, and the dot_mod/submul
+    closed forms at k=5, as literal numbers."""
+    k = 5
+    want = {
+        "modulo": {
+            "addmod": {"word_add": 1, "div_mod": 1},
+            "submod": {"word_add": 1, "word_sub": 1, "div_mod": 1},
+            "mulmod": {"word_mul": 1, "div_mod": 1},
+            "redmod": {"div_mod": 1},
+            "dot_mod": {"word_mul": k, "word_add": k - 1, "div_mod": 3 * k - 1},
+            "submul": {"word_mul": k, "word_add": k, "word_sub": k, "div_mod": 3 * k},
+        },
+        "pm": {
+            "addmod": {"word_add": 1, "word_sub": 1},
+            "submod": {"word_add": 1, "word_sub": 1},
+            "mulmod": {"word_mul": 4, "shift": 3, "mask": 3, "word_add": 3, "word_sub": 1},
+            "redmod": {"word_sub": 1},
+            "dot_mod": {"word_mul": 4 * k, "shift": 3 * k, "mask": 3 * k,
+                        "word_add": 4 * k - 1, "word_sub": 3 * k - 1},
+            "submul": {"word_mul": 4 * k, "shift": 3 * k, "mask": 3 * k,
+                       "word_add": 4 * k, "word_sub": 3 * k},
+        },
+        "inst": {
+            "addmod": {"modadd": 1},
+            "submod": {"modsub": 1},
+            "mulmod": {"modmul": 1},
+            "redmod": {"modadd": 1},
+            "dot_mod": {"modadd": 2 * k - 1, "modmul": k},
+            "submul": {"modadd": k, "modsub": k, "modmul": k},
+        },
+    }
+    mods = W8_PM_MODULI
+    calls = {
+        "addmod": lambda be: be.addmod(200, 100, 251),
+        "submod": lambda be: be.submod(10, 200, 251),
+        "mulmod": lambda be: be.mulmod(250, 250, 251),
+        "redmod": lambda be: be.redmod(254, 251),
+        "dot_mod": lambda be: be.dot_mod([255, 7, 0, 128, 251], [1, 2, 3, 4, 5], 251),
+        "submul": lambda be: be.submul(254, [1, 2, 3, 4, 5], [6, 7, 8, 9, 10], mods),
+    }
+    for kind, rows in want.items():
+        for op, row in rows.items():
+            be = make_backend(kind, 8)
+            calls[op](be)
+            got = {f: v for f, v in be.read_counters().as_dict().items() if v}
+            assert got == row, (kind, op)
+            # counters is derived on each read: writing into a read changes nothing
+            before = be.read_counters()
+            be.counters.word_add += 1
+            assert be.read_counters() == before
