@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import List, Optional
 
 from .basegen import RnsBase
 from .rnscore import RnsInt, mrs_digits_vec
@@ -55,6 +55,12 @@ class ExtensionPair:
             tuple(wt % mj for wt in weights) for mj in dst.moduli
         )
         self._sk_tables: dict = {}
+
+    def dot_cols(self, values, cols, backend: WordModBackend) -> List[int]:
+        """The per-destination-channel kernel under every extension:
+        dot_mod(values, cols[j], m'_j) for each destination channel j."""
+        dot = backend.dot_mod
+        return [dot(values, col, mj) for col, mj in zip(cols, self.dst.moduli)]
 
     def sk_tables(self, m_e: int):
         """Constants for Shenoy-Kumaresan under extra modulus m_e."""
@@ -113,7 +119,11 @@ class KawamuraParams:
         params.check()
         return params
 
-    def check(self) -> None:
+    def check(self, base: Optional[RnsBase] = None) -> None:
+        """Soundness of the estimate; with base, also that these params
+        were built for it."""
+        if base is not None and self.base is not base:
+            raise ValueError("params were built for a different base")
         if self.eps > self.alpha:
             raise ValueError(
                 f"accumulator error bound eps={float(self.eps):.4f} exceeds "
@@ -152,9 +162,7 @@ def _k_accumulate(xi, params: KawamuraParams, backend: WordModBackend) -> int:
 
 def compute_k_hat(x: RnsInt, params: KawamuraParams, backend: WordModBackend) -> int:
     """Estimated CRT quotient of x; exact when value(x) < (1-alpha)*M."""
-    if params.base is not x.base:
-        raise ValueError("params were built for a different base")
-    params.check()
+    params.check(x.base)
     xi = _xi_vec(x.residues, x.base, backend)
     return _k_accumulate(xi, params, backend)
 
@@ -162,36 +170,36 @@ def compute_k_hat(x: RnsInt, params: KawamuraParams, backend: WordModBackend) ->
 # -- vector cores (shared with the Montgomery hot path) ----------------------
 
 
+def _crt_sum(xi, pair: ExtensionPair, backend: WordModBackend, k=None) -> List[int]:
+    """sum_i xi_i*(M/m_i) - k*M on every destination channel.
+
+    Kawamura and Shenoy-Kumaresan subtract their quotient k; Bajard-Imbert
+    passes no k, skipping the correction and keeping the excess.
+    """
+    acc = pair.dot_cols(xi, pair.cross_cols, backend)
+    if k is None:
+        return acc
+    redmod, mulmod, submod = backend.redmod, backend.mulmod, backend.submod
+    return [
+        submod(a, mulmod(redmod(k, mj), mmod, mj), mj)
+        for a, mmod, mj in zip(acc, pair.M_mod_dst, pair.dst.moduli)
+    ]
+
+
 def st_extend_vec(values, pair: ExtensionPair, backend: WordModBackend) -> List[int]:
     digits = mrs_digits_vec(values, pair.src, backend)
-    dot = backend.dot_mod
-    return [
-        dot(digits, col, mj)
-        for col, mj in zip(pair.weight_cols, pair.dst.moduli)
-    ]
+    return pair.dot_cols(digits, pair.weight_cols, backend)
 
 
 def kawamura_extend_vec(
     values, pair: ExtensionPair, params: KawamuraParams, backend: WordModBackend
 ) -> List[int]:
     xi = _xi_vec(values, pair.src, backend)
-    k_hat = _k_accumulate(xi, params, backend)
-    dot = backend.dot_mod
-    out = []
-    for col, mmod, mj in zip(pair.cross_cols, pair.M_mod_dst, pair.dst.moduli):
-        acc = dot(xi, col, mj)
-        corr = backend.mulmod(backend.redmod(k_hat, mj), mmod, mj)
-        out.append(backend.submod(acc, corr, mj))
-    return out
+    return _crt_sum(xi, pair, backend, _k_accumulate(xi, params, backend))
 
 
 def bajard_imbert_vec(values, pair: ExtensionPair, backend: WordModBackend) -> List[int]:
-    xi = _xi_vec(values, pair.src, backend)
-    dot = backend.dot_mod
-    return [
-        dot(xi, col, mj)
-        for col, mj in zip(pair.cross_cols, pair.dst.moduli)
-    ]
+    return _crt_sum(_xi_vec(values, pair.src, backend), pair, backend)
 
 
 # -- public operations --------------------------------------------------------
@@ -218,9 +226,7 @@ def extend_kawamura(
     """Extension with the estimated quotient; exact for values below
     (1-alpha)*M (caller contract, deliberately unchecked at runtime)."""
     _check_operand(x, pair, backend)
-    if params.base is not pair.src:
-        raise ValueError("params were built for a different base")
-    params.check()
+    params.check(pair.src)
     return RnsInt(
         tuple(kawamura_extend_vec(x.residues, pair, params, backend)), pair.dst
     )
@@ -256,9 +262,4 @@ def extend_shenoy_kumaresan(
     xi = _xi_vec(x.residues, pair.src, backend)
     sum_e = backend.dot_mod(xi, cross_e, m_e)
     k = backend.mulmod(backend.submod(sum_e, x_e, m_e), m_inv_e, m_e)
-    out = []
-    for col, mmod, mj in zip(pair.cross_cols, pair.M_mod_dst, pair.dst.moduli):
-        acc = backend.dot_mod(xi, col, mj)
-        corr = backend.mulmod(backend.redmod(k, mj), mmod, mj)
-        out.append(backend.submod(acc, corr, mj))
-    return RnsInt(tuple(out), pair.dst)
+    return RnsInt(tuple(_crt_sum(xi, pair, backend, k)), pair.dst)

@@ -127,6 +127,12 @@ def build_pm_base(n: int, w: int) -> RnsBase:
     return RnsBase(tuple(p.m for p in generate_pm_moduli(n, w)), w)
 
 
+def split_bases(moduli: Sequence[int], w: int) -> tuple[RnsBase, RnsBase]:
+    """Two bases from one pool: even positions, then odd positions.
+    Alternate assignment keeps the two products close in magnitude."""
+    return RnsBase(moduli[0::2], w), RnsBase(moduli[1::2], w)
+
+
 # -- plain-text serialization: header "w n", one decimal modulus per line --
 
 

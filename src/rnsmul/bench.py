@@ -9,16 +9,9 @@ import random
 from dataclasses import dataclass
 from typing import IO, List, Optional, Sequence, Tuple
 
-from .basegen import RnsBase, generate_pm_moduli
-from .baseext import KawamuraParams
-from .costmodel import CostReport, PRESETS, estimate, ratio_report
-from .modmul import (
-    MontgomeryContext,
-    VARIANT_KAWAMURA,
-    VARIANT_ST,
-    mont_mul,
-    mont_pair,
-)
+from .basegen import RnsBase, generate_pm_moduli, split_bases
+from .costmodel import MODELS, PRESETS, CostReport, estimate, ratio_report
+from .modmul import VARIANTS, MontgomeryContext, mont_mul, mont_pair
 from .wordmod import BACKEND_KINDS, make_backend
 
 CSV_HEADER = (
@@ -31,7 +24,7 @@ RATIOS_HEADER = (
 
 DEFAULT_CHANNELS = tuple(range(8, 65, 8))
 ALL_BACKENDS = tuple(BACKEND_KINDS)
-ALL_VARIANTS = (VARIANT_ST, VARIANT_KAWAMURA)
+ALL_VARIANTS = VARIANTS
 
 
 @dataclass
@@ -40,8 +33,8 @@ class BenchConfig:
     w: int = 64
     backends: Tuple[str, ...] = ALL_BACKENDS
     variants: Tuple[str, ...] = ALL_VARIANTS
-    models: Tuple[str, ...] = ("io", "ooo")
-    presets: Tuple[str, ...] = ("default", "long")
+    models: Tuple[str, ...] = MODELS
+    presets: Tuple[str, ...] = tuple(PRESETS)
     seed: int = 1
     repetitions: int = 1
     moduli_pool: Optional[Tuple[int, ...]] = None  # overrides the sieve
@@ -70,11 +63,6 @@ def pick_modulus(n: int, w: int, rng: random.Random, bm: RnsBase, bmp: RnsBase) 
             return p
 
 
-def _split_bases(moduli: Sequence[int], w: int) -> Tuple[RnsBase, RnsBase]:
-    # alternate assignment keeps the two products close in magnitude
-    return RnsBase(moduli[0::2], w), RnsBase(moduli[1::2], w)
-
-
 def measure_counters(cfg: BenchConfig) -> List[Tuple[int, str, str, object]]:
     """Run the sweep and collect one counter snapshot per
     (n, backend, variant).  Deterministic in cfg.seed."""
@@ -89,14 +77,11 @@ def measure_counters(cfg: BenchConfig) -> List[Tuple[int, str, str, object]]:
             pool = list(cfg.moduli_pool)
         else:
             pool = [pm.m for pm in generate_pm_moduli(2 * n, cfg.w)]
-        bm, bmp = _split_bases(pool, cfg.w)
+        bm, bmp = split_bases(pool, cfg.w)
         p = pick_modulus(n, cfg.w, random.Random(f"{cfg.seed}:p:{n}"), bm, bmp)
-        contexts = {}
+        contexts = {}  # drops the previous n's contexts before building these
         for variant in cfg.variants:
-            kparams = (
-                KawamuraParams.for_base(bmp) if variant == VARIANT_KAWAMURA else None
-            )
-            contexts[variant] = MontgomeryContext(p, bm, bmp, variant, kparams)
+            contexts[variant] = MontgomeryContext(p, bm, bmp, variant)
         for kind in cfg.backends:
             for variant in cfg.variants:
                 ctx = contexts[variant]

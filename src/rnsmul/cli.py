@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 from . import basegen, bench, isa
+from .costmodel import MODELS, PRESETS
+from .modmul import VARIANT_ALIASES
 from .wordmod import MAX_WIDTH, MIN_WIDTH
 
 
@@ -96,15 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument(
         "--variant",
-        type=_csv_choices(bench.ALL_VARIANTS, {"k": "kawamura", "szabo-tanaka": "st"}),
+        type=_csv_choices(bench.ALL_VARIANTS, VARIANT_ALIASES),
         default=bench.ALL_VARIANTS,
     )
-    b.add_argument(
-        "--model", type=_csv_choices(("io", "ooo")), default=("io", "ooo")
-    )
-    b.add_argument(
-        "--preset", type=_csv_choices(("default", "long")), default=("default", "long")
-    )
+    b.add_argument("--model", type=_csv_choices(MODELS), default=MODELS)
+    b.add_argument("--preset", type=_csv_choices(tuple(PRESETS)), default=tuple(PRESETS))
     b.add_argument("--seed", type=int, default=1)
     b.add_argument("--repetitions", type=_positive_int, default=1)
     b.add_argument("--base", default=None, help="take moduli from a base file")
@@ -123,11 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_gen_base(args) -> int:
     try:
         base = basegen.build_pm_base(args.channels, args.width)
-    except ValueError as exc:
+        if args.out:
+            basegen.save_base(base, args.out)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        basegen.save_base(base, args.out)
         print(f"wrote {base.n} moduli (w={base.w}) to {args.out}")
     else:
         basegen.write_base(base, sys.stdout)

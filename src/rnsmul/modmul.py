@@ -15,10 +15,9 @@ alpha = 1/2 exactness window.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
-from .basegen import RnsBase, generate_pm_moduli
+from .basegen import generate_pm_moduli, split_bases
 from .baseext import (
     ExtensionPair,
     KawamuraParams,
@@ -31,7 +30,8 @@ from .wordmod import WordModBackend
 
 VARIANT_ST = "st"
 VARIANT_KAWAMURA = "kawamura"
-_VARIANT_ALIASES = {
+VARIANTS = (VARIANT_ST, VARIANT_KAWAMURA)
+VARIANT_ALIASES = {
     "st": VARIANT_ST,
     "szabo-tanaka": VARIANT_ST,
     "kawamura": VARIANT_KAWAMURA,
@@ -49,10 +49,26 @@ class MontPair(NamedTuple):
 class MontgomeryContext:
     """Bases, precomputed channel constants and sizing data for one modulus.
 
-    Immutable after construction; pass a per-thread backend to mont_mul.
+    The one place a context is checked and completed: p must be odd and
+    >= 3, the variant name goes through VARIANT_ALIASES, omitted Kawamura
+    parameters are derived for bmp, and given ones must have been built
+    for bmp.  Immutable after construction; pass a per-thread backend to
+    mont_mul.
     """
 
-    def __init__(self, p, bm, bmp, variant, kparams):
+    def __init__(self, p, bm, bmp, variant=VARIANT_KAWAMURA, kparams=None):
+        if p < 3 or p % 2 == 0:
+            raise ValueError(f"modulus p must be odd and >= 3, got {p}")
+        try:
+            variant = VARIANT_ALIASES[variant]
+        except KeyError:
+            raise ValueError(
+                f"unknown variant {variant!r}, expected one of {sorted(VARIANTS)}"
+            ) from None
+        if kparams is None and variant == VARIANT_KAWAMURA:
+            kparams = KawamuraParams.for_base(bmp)
+        elif kparams is not None:
+            kparams.check(bmp)
         self.p = p
         self.bm = bm
         self.bmp = bmp
@@ -103,31 +119,12 @@ class MontgomeryContext:
 
 
 def context_new(
-    p: int,
-    n: int,
-    w: int = 64,
-    variant: str = VARIANT_KAWAMURA,
-    q: int = 8,
-    alpha: Fraction = Fraction(1, 2),
+    p: int, n: int, w: int = 64, variant: str = VARIANT_KAWAMURA
 ) -> MontgomeryContext:
-    """Build a context: 2n sieved moduli split alternately into the two
-    bases (keeping their products close), constants precomputed and checked.
-    """
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"modulus p must be odd and >= 3, got {p}")
-    try:
-        variant = _VARIANT_ALIASES[variant]
-    except KeyError:
-        raise ValueError(
-            f"unknown variant {variant!r}, expected one of {sorted(set(_VARIANT_ALIASES.values()))}"
-        ) from None
-    moduli = [pm.m for pm in generate_pm_moduli(2 * n, w)]
-    bm = RnsBase(moduli[0::2], w)
-    bmp = RnsBase(moduli[1::2], w)
-    kparams = None
-    if variant == VARIANT_KAWAMURA:
-        kparams = KawamuraParams.for_base(bmp, q, alpha)
-    return MontgomeryContext(p, bm, bmp, variant, kparams)
+    """Build a context on the first 2n sieved moduli of width w, split
+    alternately into the two bases (keeping their products close)."""
+    bm, bmp = split_bases([pm.m for pm in generate_pm_moduli(2 * n, w)], w)
+    return MontgomeryContext(p, bm, bmp, variant)
 
 
 def mont_pair(ctx: MontgomeryContext, value: int) -> MontPair:

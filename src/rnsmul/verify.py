@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List
 
 from . import baseext, isa, rnscore
-from .basegen import RnsBase, build_pm_base, generate_pm_moduli
+from .basegen import RnsBase, build_pm_base, generate_pm_moduli, split_bases
 from .baseext import ExtensionPair, KawamuraParams
 from .modmul import MontgomeryContext, context_new, mont_mul, mont_pair
 from .wordmod import BACKEND_KINDS, PseudoMersenne, make_backend, pm_modulus
@@ -202,9 +202,7 @@ def suite_modmul_tiny(seed: int) -> SuiteResult:
     res = SuiteResult("montgomery-tiny-p97")
     p = 97
     rng = random.Random(seed)
-    contexts = {}
-    for variant in ("st", "kawamura"):
-        contexts[variant] = context_new(p, 2, 8, variant)
+    contexts = {v: context_new(p, 2, 8, v) for v in ("st", "kawamura")}
     m_inv = {v: pow(c.bm.M, -1, p) for v, c in contexts.items()}
     for variant, ctx in contexts.items():
         be = make_backend("inst", 8)
@@ -309,9 +307,7 @@ def suite_baseext_w64(seed: int) -> SuiteResult:
     res = SuiteResult("baseext-w64-random")
     rng = random.Random(seed)
     for n in (8, 16):
-        pool = [p.m for p in generate_pm_moduli(2 * n, 64)]
-        src = RnsBase(pool[0::2], 64)
-        dst = RnsBase(pool[1::2], 64)
+        src, dst = split_bases([p.m for p in generate_pm_moduli(2 * n, 64)], 64)
         pair = ExtensionPair(src, dst)
         params = KawamuraParams.for_base(src)
         be = make_backend("pm", 64)
@@ -340,13 +336,10 @@ def suite_modmul_w64(seed: int) -> SuiteResult:
     from .bench import pick_modulus
 
     for n in (8, 16):
-        pool = [p.m for p in generate_pm_moduli(2 * n, 64)]
-        bm = RnsBase(pool[0::2], 64)
-        bmp = RnsBase(pool[1::2], 64)
+        bm, bmp = split_bases([p.m for p in generate_pm_moduli(2 * n, 64)], 64)
         p = pick_modulus(n, 64, rng, bm, bmp)
         for variant in ("st", "kawamura"):
-            kp = KawamuraParams.for_base(bmp) if variant == "kawamura" else None
-            ctx = MontgomeryContext(p, bm, bmp, variant, kp)
+            ctx = MontgomeryContext(p, bm, bmp, variant)
             for kind in BACKEND_KINDS:
                 be = make_backend(kind, 64)
                 for _ in range(250):

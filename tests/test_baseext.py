@@ -281,3 +281,62 @@ def test_operation_count_formulas(n):
     assert c.modadd == want["modadd"]
     # fixed-point accumulator: two shifts, two adds, one mask per channel
     assert c.shift == 2 * n and c.mask == n and c.word_add == 2 * n
+
+
+# Per-call counters of every extension on every backend kind, one fixed
+# 3-channel -> 2-channel pseudo-Mersenne pair at w=8 (zero counters left out).
+# Measured on the per-algorithm loops before the extensions shared one
+# destination-channel kernel; a change here is a change to the cost model.
+PINNED_EXTENSION_COUNTERS = {
+    "inst": {
+        "st": {"modadd": 13, "modsub": 3, "modmul": 9},
+        "kawamura": {"word_add": 6, "shift": 6, "mask": 3,
+                     "modadd": 12, "modsub": 2, "modmul": 11},
+        "bi": {"modadd": 10, "modmul": 9},
+        "sk": {"modadd": 17, "modsub": 3, "modmul": 15},
+    },
+    "modulo": {
+        "st": {"word_add": 7, "word_sub": 3, "word_mul": 9, "div_mod": 25},
+        "kawamura": {"word_add": 12, "word_sub": 2, "word_mul": 11,
+                     "shift": 6, "mask": 3, "div_mod": 25},
+        "bi": {"word_add": 4, "word_mul": 9, "div_mod": 19},
+        "sk": {"word_add": 9, "word_sub": 3, "word_mul": 15, "div_mod": 35},
+    },
+    "pm": {
+        "st": {"word_add": 34, "word_sub": 25, "word_mul": 36,
+               "shift": 27, "mask": 27},
+        "kawamura": {"word_add": 45, "word_sub": 25, "word_mul": 44,
+                     "shift": 39, "mask": 36},
+        "bi": {"word_add": 31, "word_sub": 19, "word_mul": 36,
+               "shift": 27, "mask": 27},
+        "sk": {"word_add": 54, "word_sub": 35, "word_mul": 60,
+               "shift": 45, "mask": 45},
+    },
+}
+
+
+def test_extension_counters_pinned_per_kind():
+    src = build_base((253, 251, 247), 8)
+    dst = build_base((255, 241), 8)
+    pair = ExtensionPair(src, dst)
+    params = KawamuraParams.for_base(src)
+    x = 1234567  # below M/2, so Kawamura is exact too
+    xr = to_rns(x, src)
+    want = (x % 255, x % 241)
+    runs = {
+        "st": lambda be: extend_szabo_tanaka(xr, pair, be),
+        "kawamura": lambda be: extend_kawamura(xr, pair, params, be),
+        "bi": lambda be: extend_bajard_imbert(xr, pair, be),
+        "sk": lambda be: extend_shenoy_kumaresan(xr, x % 245, 245, pair, be),
+    }
+    for kind, pinned in PINNED_EXTENSION_COUNTERS.items():
+        for name, run in runs.items():
+            be = make_backend(kind, 8)
+            got = run(be).residues
+            if name == "bi":
+                # the skipped correction leaves x + lambda*M, lambda = 1 here
+                assert got == tuple((x + src.M) % m for m in dst.moduli)
+            else:
+                assert got == want, (kind, name)
+            counts = {k: v for k, v in be.read_counters().as_dict().items() if v}
+            assert counts == pinned[name], (kind, name)

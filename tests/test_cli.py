@@ -168,3 +168,19 @@ def test_bench_unwritable_out_fails_before_sweep(tmp_path, capsys, monkeypatch):
     assert main(["bench", "--channels", "8", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_gen_base_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.txt"
+    assert main(["gen-base", "-n", "4", "-w", "8", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_bench_variant_aliases(tmp_path):
+    out = tmp_path / "k.csv"
+    args = ["bench", "--channels", "4", "--backend", "inst", "--out", str(out)]
+    assert main(args + ["--variant", "k,szabo-tanaka"]) == 0
+    rows = read_rows(io.StringIO(out.read_text()))
+    assert [r["variant"] for r in rows[::4]] == ["kawamura", "st"]

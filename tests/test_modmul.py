@@ -197,3 +197,67 @@ def test_intermediate_channel_counts_w64():
         for _ in range(50):
             xv, yv = rng.randrange(ctx.bound), rng.randrange(ctx.bound)
             mont_mul(ctx, mont_pair(ctx, xv), mont_pair(ctx, yv), be, check=True)
+
+
+# -- the context contract: MontgomeryContext checks and completes itself ----
+
+
+def _products(ctx, kind="inst"):
+    """Residues and counters of a fixed run of products on one context."""
+    be = make_backend(kind, 8)
+    rng = random.Random(11)
+    out = []
+    for _ in range(20):
+        xv, yv = rng.randrange(ctx.bound), rng.randrange(ctx.bound)
+        z = mont_mul(ctx, mont_pair(ctx, xv), mont_pair(ctx, yv), be, check=True)
+        out.append((z.in_bm.residues, z.in_bmp.residues))
+    return out, be.read_counters()
+
+
+def test_constructor_alias_runs_the_named_variant():
+    bm, bmp = CTX97.bm, CTX97.bmp
+    for kind in BACKEND_KINDS:
+        want_k = _products(CTX97, kind)
+        want_st = _products(CTX97_ST, kind)
+        ctx = MontgomeryContext(97, bm, bmp, "k", KawamuraParams.for_base(bmp))
+        assert ctx.variant == "kawamura"
+        assert _products(ctx, kind) == want_k
+        ctx = MontgomeryContext(97, bm, bmp, "szabo-tanaka")
+        assert ctx.variant == "st"
+        assert _products(ctx, kind) == want_st
+    # the two variants really differ in cost on this pair
+    assert want_k[1] != want_st[1]
+
+
+def test_constructor_derives_omitted_kparams():
+    bm, bmp = CTX97.bm, CTX97.bmp
+    for ctx in (
+        MontgomeryContext(97, bm, bmp, "kawamura", None),
+        MontgomeryContext(97, bm, bmp, "kawamura"),
+        MontgomeryContext(97, bm, bmp),
+    ):
+        assert ctx.variant == "kawamura"
+        assert ctx.kparams == KawamuraParams.for_base(bmp)
+        assert ctx.kparams.base is bmp
+        assert _products(ctx) == _products(CTX97)
+    assert MontgomeryContext(97, bm, bmp, "st").kparams is None
+
+
+def test_constructor_rejects_unknown_variant():
+    with pytest.raises(ValueError, match="unknown variant 'cook'"):
+        MontgomeryContext(97, CTX97.bm, CTX97.bmp, "cook", None)
+
+
+def test_constructor_rejects_foreign_kparams():
+    bm, bmp = CTX97.bm, CTX97.bmp
+    for variant in ("kawamura", "st"):
+        with pytest.raises(ValueError, match="different base"):
+            MontgomeryContext(97, bm, bmp, variant, KawamuraParams.for_base(bm))
+
+
+def test_constructor_rejects_even_or_small_p():
+    for p in (98, 96, 2, 1, 0, -3):
+        with pytest.raises(ValueError, match="odd"):
+            MontgomeryContext(p, CTX97.bm, CTX97.bmp, "st", None)
+        with pytest.raises(ValueError, match="odd"):
+            MontgomeryContext(p, CTX97.bm, CTX97.bmp)
