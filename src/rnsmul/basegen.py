@@ -47,7 +47,6 @@ class RnsBase:
         moduli:  the n channel moduli, descending.
         M:       product of the moduli (the dynamic range).
         Mi:      M // m_i per channel.
-        Mi_mod:  Mi_mod[i][j] = (M / m_i) mod m_j.
         inv_Mi:  ((M / m_i) mod m_i)^-1 mod m_i per channel.
         mrs_inv: mrs_inv[i][j] = m_i^-1 mod m_j for i < j (mixed-radix
                  elimination constants; entries with j <= i are unused).
@@ -76,9 +75,6 @@ class RnsBase:
         self.n = len(moduli)
         self.M = math.prod(moduli)
         self.Mi = tuple(self.M // m for m in moduli)
-        self.Mi_mod = tuple(
-            tuple(mi % mj for mj in moduli) for mi in self.Mi
-        )
         self.inv_Mi = tuple(
             pow(mi % m, -1, m) for mi, m in zip(self.Mi, moduli)
         )
@@ -96,9 +92,6 @@ class RnsBase:
         for i, m in enumerate(self.moduli):
             if self.inv_Mi[i] * (self.Mi[i] % m) % m != 1:
                 raise AssertionError(f"inv_Mi broken at channel {i}")
-            for j, mj in enumerate(self.moduli):
-                if self.Mi_mod[i][j] != self.Mi[i] % mj:
-                    raise AssertionError(f"Mi_mod broken at ({i},{j})")
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 if self.mrs_inv[i][j] * self.moduli[i] % self.moduli[j] != 1:

@@ -11,7 +11,7 @@ from typing import IO, List, Optional, Sequence, Tuple
 
 from .basegen import RnsBase, generate_pm_moduli, split_bases
 from .costmodel import MODELS, PRESETS, CostReport, estimate, ratio_report
-from .modmul import VARIANTS, MontgomeryContext, mont_mul, mont_pair
+from .modmul import VARIANT_ALIASES, VARIANTS, MontgomeryContext, mont_mul, mont_pair
 from .wordmod import BACKEND_KINDS, make_backend
 
 CSV_HEADER = (
@@ -46,6 +46,12 @@ class BenchConfig:
         for b in self.backends:
             if b not in BACKEND_KINDS:
                 raise ValueError(f"unknown backend {b!r}")
+        for v in self.variants:
+            if v not in VARIANT_ALIASES:
+                raise ValueError(f"unknown variant {v!r}")
+        # one snapshot per backend and per variant, aliases included
+        self.backends = tuple(dict.fromkeys(self.backends))
+        self.variants = tuple(dict.fromkeys(VARIANT_ALIASES[v] for v in self.variants))
 
 
 def pick_modulus(n: int, w: int, rng: random.Random, bm: RnsBase, bmp: RnsBase) -> int:

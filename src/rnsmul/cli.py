@@ -79,16 +79,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-base", help="sieve a pseudo-Mersenne base and write it")
+    g.set_defaults(func=cmd_gen_base)
     g.add_argument("-n", "--channels", type=int, required=True)
     g.add_argument("-w", "--width", type=_width, default=64)
     g.add_argument("-o", "--out", default=None, help="output path (default stdout)")
 
     v = sub.add_parser("verify", help="run the self-check suites")
+    v.set_defaults(func=cmd_verify)
     v.add_argument("--scale", choices=("tiny", "full"), default="tiny")
     v.add_argument("--seed", type=int, default=1)
     v.add_argument("--base", default=None, help="validate a serialized base file only")
 
     b = sub.add_parser("bench", help="benchmark sweep, writes CSV")
+    b.set_defaults(func=cmd_bench)
     b.add_argument("--channels", type=_parse_channels, default=bench.DEFAULT_CHANNELS)
     b.add_argument("-w", "--width", type=_width, default=64)
     b.add_argument(
@@ -109,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True, help="CSV output path")
 
     e = sub.add_parser("encode-instr", help="encode one modular instruction")
+    e.set_defaults(func=cmd_encode_instr)
     e.add_argument("mnemonic", choices=sorted(isa.FUNCT3))
     e.add_argument("rd", type=int)
     e.add_argument("rs1", type=int)
@@ -214,18 +218,8 @@ def cmd_encode_instr(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "gen-base":
-        return cmd_gen_base(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "bench":
-        return cmd_bench(args)
-    if args.command == "encode-instr":
-        return cmd_encode_instr(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 def entry() -> None:

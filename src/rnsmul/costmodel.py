@@ -139,10 +139,6 @@ class CostReport:
     cycles: int
     counters: OpCounters
 
-    @property
-    def label(self) -> str:
-        return f"{self.backend}-{self.variant}"
-
 
 #: canonical slow/fast comparison pairs for the ratio table
 RATIO_ROWS = (

@@ -25,6 +25,7 @@ from .baseext import (
     kawamura_extend_vec,
     st_extend_vec,
 )
+from .oracle import check_mont
 from .rnscore import RnsInt, from_rns_crt, to_rns
 from .wordmod import WordModBackend
 
@@ -158,7 +159,7 @@ def mont_mul(
     """One Montgomery product: result value is x*y*M^-1 mod p up to a
     multiple of p, below (n+2)*p, represented on both bases.
 
-    check=True re-reads every contract through the big-integer oracle
+    check=True re-reads every contract through oracle.check_mont
     (congruence, bound, both halves agreeing, Kawamura window); it is for
     tests only and changes nothing about the computation.
     """
@@ -178,28 +179,8 @@ def mont_mul(
         RnsInt(tuple(w_m), bm), RnsInt(tuple(w_mp), bmp)
     )
     if check:
-        _oracle_check(ctx, x, y, result)
+        check_mont(ctx, x, y, result)
     return result
-
-
-def _oracle_check(ctx, x, y, result):
-    xv = from_rns_crt(x.in_bm)
-    yv = from_rns_crt(y.in_bm)
-    rv_mp = from_rns_crt(result.in_bmp)
-    rv_m = from_rns_crt(result.in_bm)
-    if rv_m != rv_mp:
-        raise AssertionError(
-            f"halves disagree: {rv_m} on Bm vs {rv_mp} on Bm'"
-        )
-    if rv_m >= ctx.bound:
-        raise AssertionError(f"result {rv_m} breaks the bound {ctx.bound}")
-    if 2 * rv_mp >= ctx.bmp.M:
-        raise AssertionError(
-            "step-7 operand left the Kawamura exactness window M'/2"
-        )
-    m_inv_p = pow(ctx.bm.M, -1, ctx.p)
-    if rv_m % ctx.p != xv * yv * m_inv_p % ctx.p:
-        raise AssertionError("result incongruent to x*y*M^-1 mod p")
 
 
 def mont_exp(

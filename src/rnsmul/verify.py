@@ -7,6 +7,7 @@ within a minute; full scale adds seeded randomized sweeps at w=64.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -15,7 +16,9 @@ from typing import Callable, List
 from . import baseext, isa, rnscore
 from .basegen import RnsBase, build_pm_base, generate_pm_moduli, split_bases
 from .baseext import ExtensionPair, KawamuraParams
+from .bench import pick_modulus
 from .modmul import MontgomeryContext, context_new, mont_mul, mont_pair
+from .oracle import crt_quotient, crt_value
 from .wordmod import BACKEND_KINDS, PseudoMersenne, make_backend, pm_modulus
 
 
@@ -35,46 +38,88 @@ class SuiteResult:
         return not self.failures
 
 
-def _crt_value(residues, moduli) -> int:
-    # independent reconstruction: garner-free direct CRT sum
-    M = math.prod(moduli)
-    acc = 0
-    for r, m in zip(residues, moduli):
-        mi = M // m
-        acc += r * (pow(mi % m, -1, m) * mi)
-    return acc % M
+# -- checks shared by both scales ---------------------------------------------
+
+
+def _check_word_ops(res: SuiteResult, backends, cases) -> None:
+    """addmod/submod/mulmod on every backend against Python's remainder,
+    for each (a, b, m) in cases."""
+    for a, b, m in cases:
+        want = ((a + b) % m, (a - b) % m, a * b % m)
+        for be in backends:
+            res.check(
+                (be.addmod(a, b, m), be.submod(a, b, m), be.mulmod(a, b, m))
+                == want,
+                f"{be.kind} disagrees with remainder oracle at "
+                f"(a={a}, b={b}, m={m})",
+            )
+
+
+def _check_pm_reduce(res: SuiteResult, be: PseudoMersenne, cases) -> None:
+    """pm_reduce(a) == a mod m for each (pm, a) in cases."""
+    for pm, a in cases:
+        got = be.pm_reduce(a, pm)
+        res.check(got == a % pm.m, f"pm_reduce({a}) = {got} wrong for c={pm.c}")
+
+
+def _check_extensions(
+    res: SuiteResult, pair, be, xs, m_e=None, kparams=None, bi=True
+) -> None:
+    """Szabo-Tanaka, and where asked Shenoy-Kumaresan under m_e,
+    Bajard-Imbert's excess and Kawamura inside its window 2x < M, for each
+    x in xs against x's residues on the destination base.
+
+    Bajard-Imbert returns x + lambda*M read modulo M', which wraps when M' is
+    not much larger than M, so lambda is taken as (v - x) * M^-1 mod M'."""
+    src, dst = pair.src, pair.dst
+    m_inv = pow(src.M, -1, dst.M)
+    for x in xs:
+        xi = rnscore.to_rns(x, src)
+        want = tuple(x % m for m in dst.moduli)
+        at = f"n={src.n}, x={x}"
+        st = baseext.extend_szabo_tanaka(xi, pair, be)
+        res.check(st.residues == want, f"ST wrong at {at}")
+        if m_e is not None:
+            sk = baseext.extend_shenoy_kumaresan(xi, x % m_e, m_e, pair, be)
+            res.check(sk.residues == want, f"SK wrong at {at}")
+        if bi:
+            bi_x = baseext.extend_bajard_imbert(xi, pair, be)
+            v = crt_value(bi_x.residues, dst.moduli)
+            lam = (v - x) * m_inv % dst.M
+            res.check(lam <= src.n - 1, f"BI excess {lam} out of range at {at}")
+        if kparams is not None and 2 * x < src.M:
+            ka = baseext.extend_kawamura(xi, pair, kparams, be)
+            res.check(ka.residues == want, f"Kawamura wrong at {at}")
+
+
+def _check_products(res: SuiteResult, ctx, be, operands) -> None:
+    """mont_mul(check=True) for each (x, y) value pair in operands."""
+    for xv, yv in operands:
+        try:
+            mont_mul(ctx, mont_pair(ctx, xv), mont_pair(ctx, yv), be, check=True)
+            res.check(True, "")
+        except AssertionError as exc:
+            res.check(False, f"{ctx.variant}/{be.kind} n={ctx.n}: {exc} at {xv}, {yv}")
+
+
+def _random_operands(rng: random.Random, bound: int, count: int):
+    for _ in range(count):
+        yield rng.randrange(bound), rng.randrange(bound)
 
 
 def suite_wordmod_agreement(seed: int) -> SuiteResult:
     res = SuiteResult("wordmod-agreement-w8")
     backends = [make_backend(k, 8) for k in BACKEND_KINDS]
-    for m in (251, 247):
-        for a in range(m):
-            for b in range(m):
-                add_want = (a + b) % m
-                sub_want = (a - b) % m
-                mul_want = a * b % m
-                for be in backends:
-                    res.check(
-                        be.addmod(a, b, m) == add_want
-                        and be.submod(a, b, m) == sub_want
-                        and be.mulmod(a, b, m) == mul_want,
-                        f"{be.kind} disagrees with remainder oracle at "
-                        f"(a={a}, b={b}, m={m})",
-                    )
+    cases = ((a, b, m) for m in (251, 247) for a in range(m) for b in range(m))
+    _check_word_ops(res, backends, cases)
     return res
 
 
 def suite_pm_reduce(seed: int) -> SuiteResult:
     res = SuiteResult("pm-reduce-w8-exhaustive")
-    be = PseudoMersenne(8)
-    for c in (1, 3, 5, 9):
-        pm = pm_modulus(256 - c, 8)
-        for a in range(1 << 16):
-            got = be.pm_reduce(a, pm)
-            if got != a % pm.m and len(res.failures) < 10:
-                res.failures.append(f"pm_reduce({a}) = {got} != {a % pm.m} at c={c}")
-        res.cases += 1 << 16
+    pms = [pm_modulus(256 - c, 8) for c in (1, 3, 5, 9)]
+    cases = ((pm, a) for pm in pms for a in range(1 << 16))
+    _check_pm_reduce(res, PseudoMersenne(8), cases)
     return res
 
 
@@ -129,58 +174,23 @@ def suite_rnscore(seed: int) -> SuiteResult:
                 op, rnscore.to_rns(x, base), rnscore.to_rns(y, base), be
             )
             res.check(
-                rnscore.from_rns_crt(got) == ref,
+                crt_value(got.residues, base.moduli) == ref,
                 f"homomorphism broken: {x} {op} {y}",
             )
     return res
 
 
-def _extension_fixture():
-    src = RnsBase((251, 247), 8)
-    dst = RnsBase((255, 253, 241), 8)
-    return src, dst, ExtensionPair(src, dst)
-
-
 def suite_baseext_exact(seed: int) -> SuiteResult:
     res = SuiteResult("baseext-exhaustive-tiny")
     be = make_backend("modulo", 8)
-    src, dst, pair = _extension_fixture()
-    params = KawamuraParams.for_base(src)
-    m_e = 239
-    half = src.M // 2
-    for x in range(src.M):
-        xi = rnscore.to_rns(x, src)
-        want = tuple(x % m for m in dst.moduli)
-        st = baseext.extend_szabo_tanaka(xi, pair, be)
-        res.check(st.residues == want, f"ST wrong at x={x}")
-        sk = baseext.extend_shenoy_kumaresan(xi, x % m_e, m_e, pair, be)
-        res.check(sk.residues == want, f"SK wrong at x={x}")
-        bi = baseext.extend_bajard_imbert(xi, pair, be)
-        v = _crt_value(bi.residues, dst.moduli)
-        lam = (v - x) // src.M
-        res.check(
-            v == x + lam * src.M and 0 <= lam <= src.n - 1,
-            f"BI excess out of range at x={x}: got {v}",
-        )
-        if x < half:
-            ka = baseext.extend_kawamura(xi, pair, params, be)
-            res.check(ka.residues == want, f"Kawamura wrong at x={x}")
+    src = RnsBase((251, 247), 8)
+    pair = ExtensionPair(src, RnsBase((255, 253, 241), 8))
+    kparams = KawamuraParams.for_base(src)
+    _check_extensions(res, pair, be, range(src.M), m_e=239, kparams=kparams)
     # 3-channel tiny base, non-PM moduli
     src3 = RnsBase((3, 5, 7), 8)
-    dst3 = RnsBase((11, 13, 17), 8)
-    pair3 = ExtensionPair(src3, dst3)
-    for x in range(src3.M):
-        xi = rnscore.to_rns(x, src3)
-        want = tuple(x % m for m in dst3.moduli)
-        res.check(
-            baseext.extend_szabo_tanaka(xi, pair3, be).residues == want,
-            f"ST wrong at x={x} on 3-channel base",
-        )
-        res.check(
-            baseext.extend_shenoy_kumaresan(xi, x % 19, 19, pair3, be).residues
-            == want,
-            f"SK wrong at x={x} on 3-channel base",
-        )
+    pair3 = ExtensionPair(src3, RnsBase((11, 13, 17), 8))
+    _check_extensions(res, pair3, be, range(src3.M), m_e=19, bi=False)
     return res
 
 
@@ -192,42 +202,21 @@ def suite_k_hat(seed: int) -> SuiteResult:
     for x in range(src.M // 2):
         xi = rnscore.to_rns(x, src)
         k_hat = baseext.compute_k_hat(xi, params, be)
-        coeffs = [r * inv % m for r, inv, m in zip(xi.residues, src.inv_Mi, src.moduli)]
-        k_true = (sum(c * mi for c, mi in zip(coeffs, src.Mi)) - x) // src.M
+        k_true = crt_quotient(xi.residues, src.moduli)
         res.check(k_hat == k_true, f"k estimate {k_hat} != {k_true} at x={x}")
     return res
 
 
 def suite_modmul_tiny(seed: int) -> SuiteResult:
     res = SuiteResult("montgomery-tiny-p97")
-    p = 97
     rng = random.Random(seed)
-    contexts = {v: context_new(p, 2, 8, v) for v in ("st", "kawamura")}
-    m_inv = {v: pow(c.bm.M, -1, p) for v, c in contexts.items()}
-    for variant, ctx in contexts.items():
-        be = make_backend("inst", 8)
-        for xv in range(ctx.bound):
-            x = mont_pair(ctx, xv)
-            yv = rng.randrange(ctx.bound)
-            y = mont_pair(ctx, yv)
-            r = mont_mul(ctx, x, y, be)
-            rv = rnscore.from_rns_crt(r.in_bm)
-            res.check(
-                rv < ctx.bound
-                and rv == rnscore.from_rns_crt(r.in_bmp)
-                and rv % p == xv * yv * m_inv[variant] % p,
-                f"{variant}: wrong product at x={xv}, y={yv}",
-            )
+    for variant in ("st", "kawamura"):
+        ctx = context_new(97, 2, 8, variant)
+        exhaustive_x = ((xv, rng.randrange(ctx.bound)) for xv in range(ctx.bound))
+        _check_products(res, ctx, make_backend("inst", 8), exhaustive_x)
         for kind in ("modulo", "pm"):
-            be = make_backend(kind, 8)
-            for _ in range(4000):
-                xv, yv = rng.randrange(ctx.bound), rng.randrange(ctx.bound)
-                r = mont_mul(ctx, mont_pair(ctx, xv), mont_pair(ctx, yv), be)
-                rv = rnscore.from_rns_crt(r.in_bm)
-                res.check(
-                    rv < ctx.bound and rv % p == xv * yv * m_inv[variant] % p,
-                    f"{variant}/{kind}: wrong product at x={xv}, y={yv}",
-                )
+            operands = _random_operands(rng, ctx.bound, 4000)
+            _check_products(res, ctx, make_backend(kind, 8), operands)
     return res
 
 
@@ -262,23 +251,19 @@ def suite_wordmod_w64(seed: int) -> SuiteResult:
     rng = random.Random(seed)
     backends = [make_backend(k, 64) for k in BACKEND_KINDS]
     moduli = [(1 << 64) - c for c in (59, 83, 95, 179, 189)]
-    for _ in range(30000):
-        m = rng.choice(moduli)
-        a, b = rng.randrange(m), rng.randrange(m)
-        for be in backends:
-            res.check(
-                be.addmod(a, b, m) == (a + b) % m
-                and be.submod(a, b, m) == (a - b) % m
-                and be.mulmod(a, b, m) == a * b % m,
-                f"{be.kind} disagrees at w=64 (a={a}, b={b}, m={m})",
-            )
+
+    def draws():
+        for _ in range(30000):
+            m = rng.choice(moduli)
+            yield rng.randrange(m), rng.randrange(m), m
+
+    _check_word_ops(res, backends, draws())
     base = build_pm_base(16, 64)
-    vec_backends = [make_backend(k, 64) for k in BACKEND_KINDS]
     for _ in range(2000):
         xs = [rng.randrange(m) for m in base.moduli]
         ys = [rng.randrange(m) for m in base.moduli]
         want = [x * y % m for x, y, m in zip(xs, ys, base.moduli)]
-        for be in vec_backends:
+        for be in backends:
             res.check(
                 be.vec_mul(xs, ys, base) == want,
                 f"{be.kind} vector kernel disagrees",
@@ -289,17 +274,16 @@ def suite_wordmod_w64(seed: int) -> SuiteResult:
 def suite_pm_reduce_w64(seed: int) -> SuiteResult:
     res = SuiteResult("pm-reduce-w64-random")
     rng = random.Random(seed)
-    be = PseudoMersenne(64)
     pms = [pm_modulus((1 << 64) - c, 64) for c in (59, 83, 95, 179)]
-    for pm in pms:
-        for a in (0, pm.m - 1, pm.m, (1 << 64) - 1, (1 << 128) - 1):
-            res.check(be.pm_reduce(a, pm) == a % pm.m, f"edge {a} broken")
-    for _ in range(200000):
-        pm = pms[rng.randrange(len(pms))]
-        a = rng.getrandbits(128)
-        if be.pm_reduce(a, pm) != a % pm.m and len(res.failures) < 10:
-            res.failures.append(f"pm_reduce({a}) wrong for c={pm.c}")
-    res.cases += 200000
+    edges = [
+        (pm, a)
+        for pm in pms
+        for a in (0, pm.m - 1, pm.m, (1 << 64) - 1, (1 << 128) - 1)
+    ]
+    draws = (
+        (pms[rng.randrange(len(pms))], rng.getrandbits(128)) for _ in range(200000)
+    )
+    _check_pm_reduce(res, PseudoMersenne(64), itertools.chain(edges, draws))
     return res
 
 
@@ -308,49 +292,28 @@ def suite_baseext_w64(seed: int) -> SuiteResult:
     rng = random.Random(seed)
     for n in (8, 16):
         src, dst = split_bases([p.m for p in generate_pm_moduli(2 * n, 64)], 64)
-        pair = ExtensionPair(src, dst)
-        params = KawamuraParams.for_base(src)
-        be = make_backend("pm", 64)
-        for _ in range(1500):
-            x = rng.randrange(src.M)
-            xi = rnscore.to_rns(x, src)
-            want = tuple(x % m for m in dst.moduli)
-            res.check(
-                baseext.extend_szabo_tanaka(xi, pair, be).residues == want,
-                f"ST wrong at n={n}, x={x}",
-            )
-            bi = baseext.extend_bajard_imbert(xi, pair, be)
-            lam = (_crt_value(bi.residues, dst.moduli) - x) // src.M
-            res.check(0 <= lam <= n - 1, f"BI excess {lam} out of range at n={n}")
-            if 2 * x < src.M:
-                res.check(
-                    baseext.extend_kawamura(xi, pair, params, be).residues == want,
-                    f"Kawamura wrong at n={n}, x={x}",
-                )
+        xs = (rng.randrange(src.M) for _ in range(1500))
+        _check_extensions(
+            res,
+            ExtensionPair(src, dst),
+            make_backend("pm", 64),
+            xs,
+            kparams=KawamuraParams.for_base(src),
+        )
     return res
 
 
 def suite_modmul_w64(seed: int) -> SuiteResult:
     res = SuiteResult("montgomery-w64-random")
     rng = random.Random(seed)
-    from .bench import pick_modulus
-
     for n in (8, 16):
         bm, bmp = split_bases([p.m for p in generate_pm_moduli(2 * n, 64)], 64)
         p = pick_modulus(n, 64, rng, bm, bmp)
         for variant in ("st", "kawamura"):
             ctx = MontgomeryContext(p, bm, bmp, variant)
             for kind in BACKEND_KINDS:
-                be = make_backend(kind, 64)
-                for _ in range(250):
-                    xv, yv = rng.randrange(ctx.bound), rng.randrange(ctx.bound)
-                    try:
-                        mont_mul(
-                            ctx, mont_pair(ctx, xv), mont_pair(ctx, yv), be, check=True
-                        )
-                        res.check(True, "")
-                    except AssertionError as exc:
-                        res.check(False, f"{kind}/{variant} n={n}: {exc}")
+                operands = _random_operands(rng, ctx.bound, 250)
+                _check_products(res, ctx, make_backend(kind, 64), operands)
     return res
 
 

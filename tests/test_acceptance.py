@@ -4,7 +4,6 @@ PASS/FAIL line.  Tolerances are pinned here and nowhere else.
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import math
 import random
 import time
 
@@ -25,6 +24,7 @@ from rnsmul.cli import main as cli_main
 from rnsmul.costmodel import quadratic_fit_r2
 from rnsmul.isa import FUNCT3, ModInstr, decode, encode
 from rnsmul.modmul import MontgomeryContext, mont_mul, mont_pair
+from rnsmul.oracle import crt_quotient, crt_value
 from rnsmul.rnscore import from_rns_crt, to_mrs, to_rns
 from rnsmul.wordmod import (
     BACKEND_KINDS,
@@ -40,15 +40,6 @@ SEED = 20240901
 def report(num: int, ok: bool, desc: str) -> None:
     print(f"\n[criterion {num}] {'PASS' if ok else 'FAIL'} {desc}", flush=True)
     assert ok, f"criterion {num}: {desc}"
-
-
-def crt_value(residues, moduli):
-    M = math.prod(moduli)
-    acc = 0
-    for r, m in zip(residues, moduli):
-        mi = M // m
-        acc += r * (pow(mi % m, -1, m) * mi)
-    return acc % M
 
 
 _BASES_CACHE = {}
@@ -192,11 +183,7 @@ def test_criterion_4_k_hat_exactness():
     params = KawamuraParams.for_base(src)
     for x in range(src.M // 2):
         xi = to_rns(x, src)
-        coeffs = [
-            r * inv % m for r, inv, m in zip(xi.residues, src.inv_Mi, src.moduli)
-        ]
-        k_true = (sum(c * mi for c, mi in zip(coeffs, src.Mi)) - x) // src.M
-        if compute_k_hat(xi, params, be) != k_true:
+        if compute_k_hat(xi, params, be) != crt_quotient(xi.residues, src.moduli):
             bad += 1
 
     src64 = RnsBase([p.m for p in generate_pm_moduli(64, 64)], 64)
@@ -208,12 +195,7 @@ def test_criterion_4_k_hat_exactness():
     for _ in range(cases):
         x = rng.randrange(half)
         xi = to_rns(x, src64)
-        coeffs = [
-            r * inv % m
-            for r, inv, m in zip(xi.residues, src64.inv_Mi, src64.moduli)
-        ]
-        k_true = (sum(c * mi for c, mi in zip(coeffs, src64.Mi)) - x) // src64.M
-        if compute_k_hat(xi, params64, be64) != k_true:
+        if compute_k_hat(xi, params64, be64) != crt_quotient(xi.residues, src64.moduli):
             bad += 1
     report(
         4,

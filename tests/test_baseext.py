@@ -17,28 +17,9 @@ from rnsmul.baseext import (
     extend_shenoy_kumaresan,
     extend_szabo_tanaka,
 )
+from rnsmul.oracle import crt_quotient, crt_value
 from rnsmul.rnscore import to_rns
 from rnsmul.wordmod import InstructionSim, make_backend
-
-
-def crt_value(residues, moduli):
-    """Independent reconstruction used as the oracle throughout."""
-    M = math.prod(moduli)
-    acc = 0
-    for r, m in zip(residues, moduli):
-        mi = M // m
-        acc += r * (pow(mi % m, -1, m) * mi)
-    return acc % M
-
-
-def k_true(x, residues, base):
-    """Exact CRT quotient: (sum_i xi_i*(M/m_i) - x) / M."""
-    coeffs = [
-        r * inv % m for r, inv, m in zip(residues, base.inv_Mi, base.moduli)
-    ]
-    total = sum(c * mi for c, mi in zip(coeffs, base.Mi))
-    assert (total - x) % base.M == 0
-    return (total - x) // base.M
 
 
 SRC2 = build_base((251, 247), 8)
@@ -106,7 +87,7 @@ def test_k_hat_exhaustive_below_half_range():
     params = KawamuraParams.for_base(SRC2)
     for x in range(SRC2.M // 2):
         xi = to_rns(x, SRC2)
-        assert compute_k_hat(xi, params, be) == k_true(x, xi.residues, SRC2)
+        assert compute_k_hat(xi, params, be) == crt_quotient(xi.residues, SRC2.moduli)
 
 
 def test_k_hat_boundary():
@@ -114,7 +95,7 @@ def test_k_hat_boundary():
     params = KawamuraParams.for_base(SRC2)
     x = (SRC2.M - 1) // 2  # largest value below (1 - alpha) * M
     xi = to_rns(x, SRC2)
-    assert compute_k_hat(xi, params, be) == k_true(x, xi.residues, SRC2)
+    assert compute_k_hat(xi, params, be) == crt_quotient(xi.residues, SRC2.moduli)
 
 
 def test_kawamura_examples():
@@ -186,7 +167,7 @@ def test_shenoy_kumaresan_recovers_k():
         xi = to_rns(x, src)
         got = extend_shenoy_kumaresan(xi, x % m_e, m_e, pair, be)
         assert got.residues == (x % 255, x % 253)
-        assert k_true(x, xi.residues, src) <= src.n - 1
+        assert crt_quotient(xi.residues, src.moduli) <= src.n - 1
 
 
 def test_shenoy_kumaresan_config_errors():

@@ -67,8 +67,6 @@ def test_tables_satisfy_congruences():
     base = build_pm_base(8, 32)
     for i, m in enumerate(base.moduli):
         assert base.inv_Mi[i] * ((base.M // m) % m) % m == 1
-        for j, mj in enumerate(base.moduli):
-            assert base.Mi_mod[i][j] == (base.M // m) % mj
     for i in range(base.n):
         for j in range(i + 1, base.n):
             assert base.mrs_inv[i][j] * base.moduli[i] % base.moduli[j] == 1

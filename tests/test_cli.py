@@ -4,8 +4,15 @@ import io
 
 import pytest
 
-from rnsmul.bench import CSV_HEADER, RATIOS_HEADER, read_rows
+from rnsmul.bench import (
+    CSV_HEADER,
+    RATIOS_HEADER,
+    BenchConfig,
+    measure_counters,
+    read_rows,
+)
 from rnsmul.cli import main
+from rnsmul.verify import FULL_SUITES, TINY_SUITES
 
 
 def test_gen_base_writes_file(tmp_path):
@@ -51,6 +58,16 @@ def test_verify_tiny_passes_and_is_deterministic(capsys):
     assert first.count("PASS") == 8 and "FAIL" not in first
     assert main(["verify", "--scale", "tiny", "--seed", "9"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_verify_full_scale_suites_pass():
+    results = [suite(3) for suite in FULL_SUITES[len(TINY_SUITES):]]
+    assert [(r.name, r.cases, r.failures) for r in results] == [
+        ("wordmod-agreement-w64", 96000, []),
+        ("pm-reduce-w64-random", 200020, []),
+        ("baseext-w64-random", 7459, []),
+        ("montgomery-w64-random", 3000, []),
+    ]
 
 
 def test_encode_instr(capsys):
@@ -184,3 +201,14 @@ def test_bench_variant_aliases(tmp_path):
     assert main(args + ["--variant", "k,szabo-tanaka"]) == 0
     rows = read_rows(io.StringIO(out.read_text()))
     assert [r["variant"] for r in rows[::4]] == ["kawamura", "st"]
+
+
+def test_bench_config_resolves_and_dedupes_names():
+    cfg = BenchConfig(
+        channels=(4,), backends=("inst", "inst"), variants=("k", "kawamura")
+    )
+    assert cfg.backends == ("inst",) and cfg.variants == ("kawamura",)
+    measured = [(kind, v) for _, kind, v, _ in measure_counters(cfg)]
+    assert measured == [("inst", "kawamura")]
+    with pytest.raises(ValueError, match="unknown variant"):
+        BenchConfig(variants=("rower",))
