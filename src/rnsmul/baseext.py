@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from .basegen import RnsBase
 from .rnscore import RnsInt, mrs_digits_vec
@@ -92,13 +92,21 @@ class KawamuraParams:
 
     alpha_fp is the initial offset in q fractional bits; eps bounds the
     total truncation error n*(2^-q + c_max*2^-w).  Exactness of the
-    estimate requires eps <= alpha and input value < (1-alpha)*M.
+    estimate requires eps <= alpha, checked at construction, and input
+    value < (1-alpha)*M.
     """
 
     base: RnsBase
     q: int
     alpha_fp: int
     eps: Fraction
+
+    def __post_init__(self):
+        if self.eps > self.alpha:
+            raise ValueError(
+                f"accumulator error bound eps={float(self.eps):.4f} exceeds "
+                f"alpha={float(self.alpha):.4f}; k estimate would be unsound"
+            )
 
     @property
     def alpha(self) -> Fraction:
@@ -115,20 +123,12 @@ class KawamuraParams:
         alpha_fp = round(alpha * (1 << q))
         c_max = max((1 << base.w) - m for m in base.moduli)
         eps = Fraction(base.n, 1 << q) + Fraction(base.n * c_max, 1 << base.w)
-        params = cls(base, q, alpha_fp, eps)
-        params.check()
-        return params
+        return cls(base, q, alpha_fp, eps)
 
-    def check(self, base: Optional[RnsBase] = None) -> None:
-        """Soundness of the estimate; with base, also that these params
-        were built for it."""
-        if base is not None and self.base is not base:
+    def check(self, base: RnsBase) -> None:
+        """That these params were built for base."""
+        if self.base is not base:
             raise ValueError("params were built for a different base")
-        if self.eps > self.alpha:
-            raise ValueError(
-                f"accumulator error bound eps={float(self.eps):.4f} exceeds "
-                f"alpha={float(self.alpha):.4f}; k estimate would be unsound"
-            )
 
 
 def _xi_vec(values, base: RnsBase, backend: WordModBackend) -> list:

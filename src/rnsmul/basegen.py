@@ -2,9 +2,8 @@
 
 A base is an ordered set of pairwise-coprime w-bit moduli together with
 every table the conversions and extensions need.  All tables are computed
-with arbitrary-precision arithmetic once, at construction, and verified
-against their defining congruences; the hot paths afterwards touch only
-w-bit words and double-width products.
+with arbitrary-precision arithmetic once, at construction; the hot paths
+afterwards touch only w-bit words and double-width products.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ def generate_pm_moduli(n: int, w: int) -> List[PmModulus]:
 
 
 class RnsBase:
-    """An RNS base: moduli plus verified conversion constants.
+    """An RNS base: moduli plus precomputed conversion constants.
 
     Attributes:
         moduli:  the n channel moduli, descending.
@@ -86,16 +85,6 @@ class RnsBase:
             )
             for i in range(self.n)
         )
-        self._verify()
-
-    def _verify(self) -> None:
-        for i, m in enumerate(self.moduli):
-            if self.inv_Mi[i] * (self.Mi[i] % m) % m != 1:
-                raise AssertionError(f"inv_Mi broken at channel {i}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.mrs_inv[i][j] * self.moduli[i] % self.moduli[j] != 1:
-                    raise AssertionError(f"mrs_inv broken at ({i},{j})")
 
     @cached_property
     def _pm(self) -> tuple:

@@ -12,7 +12,7 @@ from typing import IO, List, Optional, Sequence, Tuple
 from .basegen import RnsBase, generate_pm_moduli, split_bases
 from .costmodel import MODELS, PRESETS, CostReport, estimate, ratio_report
 from .modmul import VARIANT_ALIASES, VARIANTS, MontgomeryContext, mont_mul, mont_pair
-from .wordmod import BACKEND_KINDS, make_backend
+from .wordmod import BACKEND_KINDS, check_width, make_backend
 
 CSV_HEADER = (
     "n,w,backend,variant,model,preset,"
@@ -40,15 +40,32 @@ class BenchConfig:
     moduli_pool: Optional[Tuple[int, ...]] = None  # overrides the sieve
 
     def __post_init__(self):
+        """The one judge of a sweep configuration: every bad value raises
+        ValueError here, before anything runs."""
+        if not self.channels:
+            raise ValueError("no channel counts given")
+        pool = self.moduli_pool
         for n in self.channels:
             if n < 2 or n % 2 != 0:
                 raise ValueError(f"channel count {n} must be even and >= 2")
-        for b in self.backends:
-            if b not in BACKEND_KINDS:
-                raise ValueError(f"unknown backend {b!r}")
-        for v in self.variants:
-            if v not in VARIANT_ALIASES:
-                raise ValueError(f"unknown variant {v!r}")
+            if pool is not None and len(pool) != 2 * n:
+                raise ValueError(
+                    f"moduli pool holds {len(pool)} entries, need {2 * n} for n={n}"
+                )
+        check_width(self.w)
+        for what, names, known in (
+            ("backend", self.backends, BACKEND_KINDS),
+            ("variant", self.variants, VARIANT_ALIASES),
+            ("model", self.models, MODELS),
+            ("preset", self.presets, PRESETS),
+        ):
+            for name in names:
+                if name not in known:
+                    raise ValueError(
+                        f"unknown {what} {name!r}, expected one of {sorted(known)}"
+                    )
+        if self.repetitions < 1:
+            raise ValueError(f"repetitions {self.repetitions} must be >= 1")
         # one snapshot per backend and per variant, aliases included
         self.backends = tuple(dict.fromkeys(self.backends))
         self.variants = tuple(dict.fromkeys(VARIANT_ALIASES[v] for v in self.variants))
@@ -75,11 +92,6 @@ def measure_counters(cfg: BenchConfig) -> List[Tuple[int, str, str, object]]:
     out = []
     for n in cfg.channels:
         if cfg.moduli_pool is not None:
-            if len(cfg.moduli_pool) != 2 * n:
-                raise ValueError(
-                    f"moduli pool holds {len(cfg.moduli_pool)} entries, "
-                    f"need {2 * n} for n={n}"
-                )
             pool = list(cfg.moduli_pool)
         else:
             pool = [pm.m for pm in generate_pm_moduli(2 * n, cfg.w)]

@@ -11,7 +11,6 @@ from pathlib import Path
 
 from . import basegen, bench, isa
 from .costmodel import MODELS, PRESETS
-from .modmul import VARIANT_ALIASES
 from .wordmod import MAX_WIDTH, MIN_WIDTH
 
 
@@ -25,22 +24,8 @@ def _parse_channels(text: str):
             lo, hi, step = parts
         else:
             raise argparse.ArgumentTypeError(f"bad channel range {text!r}")
-        counts = tuple(range(lo, hi + 1, step))
-    else:
-        counts = tuple(int(t) for t in text.split(","))
-    if not counts:
-        raise argparse.ArgumentTypeError(f"channel range {text!r} is empty")
-    for n in counts:
-        if n < 2 or n % 2:
-            raise argparse.ArgumentTypeError(f"channel count {n} must be even and >= 2")
-    return counts
-
-
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{n} is not a positive integer")
-    return n
+        return tuple(range(lo, hi + 1, step))
+    return tuple(int(t) for t in text.split(","))
 
 
 def _width(text: str) -> int:
@@ -52,21 +37,14 @@ def _width(text: str) -> int:
     return w
 
 
-def _csv_choices(all_values, aliases=None):
-    aliases = aliases or {}
+def _csv_names(all_values):
+    """A comma list of names, or 'all'/'both' for every one; the names
+    themselves are judged by bench.BenchConfig."""
 
     def convert(text: str):
         if text == "all" or text == "both":
             return tuple(all_values)
-        out = []
-        for tok in text.split(","):
-            tok = aliases.get(tok, tok)
-            if tok not in all_values:
-                raise argparse.ArgumentTypeError(
-                    f"unknown value {tok!r}, expected from {sorted(all_values)}"
-                )
-            out.append(tok)
-        return tuple(out)
+        return tuple(text.split(","))
 
     return convert
 
@@ -79,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-base", help="sieve a pseudo-Mersenne base and write it")
-    g.set_defaults(func=cmd_gen_base)
+    g.set_defaults(func=cmd_gen_base, usage_error=g.error)
     g.add_argument("-n", "--channels", type=int, required=True)
     g.add_argument("-w", "--width", type=_width, default=64)
     g.add_argument("-o", "--out", default=None, help="output path (default stdout)")
@@ -91,23 +69,19 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--base", default=None, help="validate a serialized base file only")
 
     b = sub.add_parser("bench", help="benchmark sweep, writes CSV")
-    b.set_defaults(func=cmd_bench)
+    b.set_defaults(func=cmd_bench, usage_error=b.error)
     b.add_argument("--channels", type=_parse_channels, default=bench.DEFAULT_CHANNELS)
-    b.add_argument("-w", "--width", type=_width, default=64)
+    b.add_argument("-w", "--width", type=int, default=64)
     b.add_argument(
-        "--backend",
-        type=_csv_choices(bench.ALL_BACKENDS, {"instruction": "inst"}),
-        default=bench.ALL_BACKENDS,
+        "--backend", type=_csv_names(bench.ALL_BACKENDS), default=bench.ALL_BACKENDS
     )
     b.add_argument(
-        "--variant",
-        type=_csv_choices(bench.ALL_VARIANTS, VARIANT_ALIASES),
-        default=bench.ALL_VARIANTS,
+        "--variant", type=_csv_names(bench.ALL_VARIANTS), default=bench.ALL_VARIANTS
     )
-    b.add_argument("--model", type=_csv_choices(MODELS), default=MODELS)
-    b.add_argument("--preset", type=_csv_choices(tuple(PRESETS)), default=tuple(PRESETS))
+    b.add_argument("--model", type=_csv_names(MODELS), default=MODELS)
+    b.add_argument("--preset", type=_csv_names(tuple(PRESETS)), default=tuple(PRESETS))
     b.add_argument("--seed", type=int, default=1)
-    b.add_argument("--repetitions", type=_positive_int, default=1)
+    b.add_argument("--repetitions", type=int, default=1)
     b.add_argument("--base", default=None, help="take moduli from a base file")
     b.add_argument("--out", required=True, help="CSV output path")
 
@@ -123,6 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen_base(args) -> int:
+    if args.channels < 2:
+        args.usage_error(f"need at least 2 moduli, got -n {args.channels}")
     try:
         base = basegen.build_pm_base(args.channels, args.width)
         if args.out:
@@ -144,7 +120,7 @@ def cmd_verify(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"FAIL base file {args.base}: {exc}")
             return 1
-        print(f"PASS base file {args.base}: n={base.n}, w={base.w}, all constants verified")
+        print(f"PASS base file {args.base}: n={base.n}, w={base.w}, moduli pairwise coprime")
         return 0
     from .verify import run_suites
 
@@ -169,27 +145,23 @@ def cmd_bench(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        if pool_base.n % 2:
-            print(
-                f"error: base file holds {pool_base.n} moduli; an even count "
-                f"is required to split into two bases",
-                file=sys.stderr,
-            )
-            return 1
         moduli_pool = pool_base.moduli
         args.channels = (pool_base.n // 2,)
         args.width = pool_base.w
-    cfg = bench.BenchConfig(
-        channels=tuple(args.channels),
-        w=args.width,
-        backends=args.backend,
-        variants=args.variant,
-        models=args.model,
-        presets=args.preset,
-        seed=args.seed,
-        repetitions=args.repetitions,
-        moduli_pool=moduli_pool,
-    )
+    try:
+        cfg = bench.BenchConfig(
+            channels=tuple(args.channels),
+            w=args.width,
+            backends=args.backend,
+            variants=args.variant,
+            models=args.model,
+            presets=args.preset,
+            seed=args.seed,
+            repetitions=args.repetitions,
+            moduli_pool=moduli_pool,
+        )
+    except ValueError as exc:
+        args.usage_error(str(exc))  # exits 2 before --out is opened
     out = Path(args.out)
     ratios_path = out.with_name(out.stem + "_ratios" + (out.suffix or ".csv"))
     # both outputs are opened before the sweep, so a bad path fails fast

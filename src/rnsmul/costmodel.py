@@ -40,13 +40,6 @@ class DelayTable:
             if getattr(self, c) < 1:
                 raise ValueError(f"delay of {c} must be >= 1")
 
-    def delay(self, cls: str) -> int:
-        return getattr(self, cls)
-
-    @classmethod
-    def default(cls) -> "DelayTable":
-        return cls()
-
     @classmethod
     def long_delays(cls) -> "DelayTable":
         # slower modular operators: adder 4, multiplier 9
@@ -54,7 +47,7 @@ class DelayTable:
 
 
 PRESETS = {
-    "default": DelayTable.default,
+    "default": DelayTable,
     "long": DelayTable.long_delays,
 }
 
@@ -84,7 +77,7 @@ def class_counts(counters: OpCounters) -> Dict[str, int]:
 def estimate_io(counters: OpCounters, delays: DelayTable) -> int:
     """Fully serialized issue: every op pays its unit latency."""
     counts = class_counts(counters)
-    return sum(counts[c] * delays.delay(c) for c in CLASSES)
+    return sum(counts[c] * getattr(delays, c) for c in CLASSES)
 
 
 def estimate_ooo(
@@ -110,9 +103,9 @@ def estimate_ooo(
         u = units.get(c, 1)
         if u < 1:
             raise ValueError(f"unit count for {c} must be >= 1")
-        per_op = 1 if delays.pipelined.get(c, True) else delays.delay(c)
+        per_op = 1 if delays.pipelined.get(c, True) else getattr(delays, c)
         best = max(best, -(-counts[c] // u) * per_op)
-    return best + max(delays.delay(c) for c in active)
+    return best + max(getattr(delays, c) for c in active)
 
 
 MODELS = ("io", "ooo")

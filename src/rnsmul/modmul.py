@@ -86,14 +86,12 @@ class MontgomeryContext:
         )
         self.p_bmp = tuple(p % m for m in bmp.moduli)
         self.m_inv_bmp = tuple(pow(bm.M % m, -1, m) for m in bmp.moduli)
-        self._verify_constants()
 
     def _check_sizing(self):
         p, bm, bmp, n = self.p, self.bm, self.bmp, self.n
         for name, g in (
             ("p and M", math.gcd(p, bm.M)),
             ("p and M'", math.gcd(p, bmp.M)),
-            ("M and M'", math.gcd(bm.M, bmp.M)),
         ):
             if g != 1:
                 raise ValueError(f"{name} share factor {g}")
@@ -106,17 +104,6 @@ class MontgomeryContext:
                 f"{bm.M.bit_length()}) and M' > 2(n+2)*p "
                 f"({need_mp.bit_length()} bits, have {bmp.M.bit_length()})"
             )
-
-    def _verify_constants(self):
-        p, bm, bmp = self.p, self.bm, self.bmp
-        for i, m in enumerate(bm.moduli):
-            if self.neg_p_inv_bm[i] * p % m != m - 1:
-                raise AssertionError(f"-p^-1 broken in channel {i}")
-        for j, m in enumerate(bmp.moduli):
-            if self.m_inv_bmp[j] * (bm.M % m) % m != 1:
-                raise AssertionError(f"M^-1 broken in channel {j}")
-            if self.p_bmp[j] != p % m:
-                raise AssertionError(f"p residue broken in channel {j}")
 
 
 def context_new(

@@ -12,9 +12,8 @@ in what one modular add, sub, mul or reduction costs.  So the value path is
 written once, in ``WordModBackend``, and a kind is a row of
 ``WordModBackend.COSTS``: the counters one op of each class ticks.
 ``PseudoMersenne`` adds its modulus-form validation and ``pm_reduce``, the
-folding reduction; its scalar ``mulmod`` runs through ``pm_reduce`` and is
-the tested reference for the folding.  Backends own mutable counters, so
-one instance must not be shared between threads.
+folding reduction whose op stream the "pm" row of "mul" counts.  Backends
+own mutable counters, so one instance must not be shared between threads.
 """
 
 from __future__ import annotations
@@ -163,6 +162,8 @@ class WordModBackend:
 
     def check_base(self, base):
         """Validate a base for this backend and return its moduli."""
+        if base.w != self.width:
+            raise ValueError(f"base has w={base.w}, backend expects w={self.width}")
         return base.moduli
 
     # -- scalar operations ---------------------------------------------------
@@ -268,8 +269,8 @@ class PseudoMersenne(WordModBackend):
     """Folding reduction for pseudo-Mersenne moduli m = 2^w - c.
 
     Using any modulus that is not pseudo-Mersenne form is a configuration
-    error.  The scalar mulmod forms the double-width product and folds it
-    with pm_reduce, the reference the cost row of "mul" describes.
+    error.  pm_reduce is the folding reduction the cost row of "mul"
+    describes, tested against ``%`` on its own.
     """
 
     kind = "pm"
@@ -305,11 +306,6 @@ class PseudoMersenne(WordModBackend):
         t = (a & mask) + (t & mask) + c * (t >> w)
         t = (t & mask) + c * (t >> w)
         return t - pm.m if t >= pm.m else t
-
-    def mulmod(self, a: int, b: int, m: int) -> int:
-        self._check_reduced(a, b, m)
-        self.raw.word_mul += 1
-        return self.pm_reduce(a * b, pm_modulus(m, self.width))
 
 
 class InstructionSim(WordModBackend):

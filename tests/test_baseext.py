@@ -202,14 +202,17 @@ def test_exactness_randomized_w64():
         be = make_backend("pm", 64)
         m_e = (1 << 64) - 363  # coprime odd extra modulus
         assert math.gcd(m_e, src.M) == 1
+        m_inv = pow(src.M, -1, dst.M)
         for _ in range(15000):
             x = rng.randrange(src.M)
             xi = to_rns(x, src)
             want = tuple(x % m for m in dst.moduli)
             assert extend_szabo_tanaka(xi, pair, be).residues == want
             bi = extend_bajard_imbert(xi, pair, be)
-            lam = (crt_value(bi.residues, dst.moduli) - x) // src.M
-            assert 0 <= lam <= n - 1
+            # x + lam*M is read modulo M', and M > M' here, so lam is
+            # recovered modularly rather than by floor division
+            lam = (crt_value(bi.residues, dst.moduli) - x) * m_inv % dst.M
+            assert lam <= n - 1
             checks += 2
             if 2 * x < src.M:
                 assert extend_kawamura(xi, pair, params, be).residues == want

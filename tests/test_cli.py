@@ -32,6 +32,14 @@ def test_gen_base_usage_error_bad_width():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_gen_base_usage_error_too_few_moduli(n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-base", "-n", n, "-w", "8"])
+    assert exc.value.code == 2
+    assert "error: need at least 2 moduli" in capsys.readouterr().err
+
+
 def test_gen_base_exhaustion(tmp_path, capsys):
     assert main(["gen-base", "-n", "200", "-w", "8", "-o", str(tmp_path / "x")]) == 1
     assert "exhausted" in capsys.readouterr().err
@@ -160,6 +168,9 @@ def test_missing_subcommand():
         ["--repetitions", "-1"],
         ["--channels", "7"],
         ["--channels", "8:4"],
+        ["--model", "x"],
+        ["--preset", "fast"],
+        ["--variant", "rower"],
     ],
 )
 def test_bench_usage_error_argument_values(args, tmp_path):
@@ -212,3 +223,35 @@ def test_bench_config_resolves_and_dedupes_names():
     assert measured == [("inst", "kawamura")]
     with pytest.raises(ValueError, match="unknown variant"):
         BenchConfig(variants=("rower",))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"repetitions": 0},
+        {"presets": ("fast",)},
+        {"models": ("x",)},
+        {"channels": ()},
+        {"w": 4},
+    ],
+)
+def test_bench_config_rejects_bad_values_at_construction(kwargs):
+    with pytest.raises(ValueError):
+        BenchConfig(**kwargs)
+
+
+@pytest.mark.parametrize("count", [5, 6])
+def test_bench_base_file_pool_unusable(count, tmp_path, capsys, monkeypatch):
+    import rnsmul.bench
+
+    def no_sweep(cfg):
+        raise AssertionError("the sweep ran on a pool it cannot split")
+
+    monkeypatch.setattr(rnsmul.bench, "run_sweep", no_sweep)
+    base_path = tmp_path / "pool.txt"
+    assert main(["gen-base", "-n", str(count), "-w", "64", "-o", str(base_path)]) == 0
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--base", str(base_path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err and not out.exists()

@@ -261,3 +261,11 @@ def test_constructor_rejects_even_or_small_p():
             MontgomeryContext(p, CTX97.bm, CTX97.bmp, "st", None)
         with pytest.raises(ValueError, match="odd"):
             MontgomeryContext(p, CTX97.bm, CTX97.bmp)
+
+
+@pytest.mark.parametrize("kind", sorted(BACKEND_KINDS))
+def test_mont_mul_rejects_backend_of_another_width(kind):
+    ctx = context_new(1_000_003, 2, 64, "st")
+    x = to_mont(ctx, 5)
+    with pytest.raises(ValueError, match="base has w=64, backend expects w=8"):
+        mont_mul(ctx, x, x, make_backend(kind, 8))
