@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import List
 
 from .basegen import RnsBase
@@ -25,11 +27,11 @@ from .wordmod import WordModBackend
 
 
 class ExtensionPair:
-    """Precomputed tables for extending from base src to base dst.
+    """A checked pair of bases for extending from src to dst.
 
-    cross_cols[j][i] holds (M_src/m_i) mod m'_j and weight_cols[j][i] the
-    mixed-radix weight (m_0*...*m_{i-1}) mod m'_j, both laid out per
-    destination channel.  M_mod_dst[j] is M_src mod m'_j.
+    weights[i] holds the mixed-radix weight m_0*...*m_{i-1} of the source
+    base, the constants Szabo-Tanaka sums its digits against; the CRT-based
+    extensions sum against src.Mi.
     """
 
     def __init__(self, src: RnsBase, dst: RnsBase):
@@ -42,30 +44,13 @@ class ExtensionPair:
             )
         self.src = src
         self.dst = dst
-        self.M_mod_dst = tuple(src.M % mj for mj in dst.moduli)
-        self.cross_cols = tuple(
-            tuple(mi % mj for mi in src.Mi) for mj in dst.moduli
-        )
-        weights = []
-        prod = 1
-        for i in range(src.n):
-            weights.append(prod)
-            prod *= src.moduli[i]
-        self.weight_cols = tuple(
-            tuple(wt % mj for wt in weights) for mj in dst.moduli
-        )
-        self._sk_tables: dict = {}
+        self.weights = (1, *accumulate(src.moduli[:-1], mul))
+        self._sk_inverse: dict = {}
 
-    def dot_cols(self, values, cols, backend: WordModBackend) -> List[int]:
-        """The per-destination-channel kernel under every extension:
-        dot_mod(values, cols[j], m'_j) for each destination channel j."""
-        dot = backend.dot_mod
-        return [dot(values, col, mj) for col, mj in zip(cols, self.dst.moduli)]
-
-    def sk_tables(self, m_e: int):
-        """Constants for Shenoy-Kumaresan under extra modulus m_e."""
+    def sk_inverse(self, m_e: int) -> int:
+        """M^-1 mod m_e for Shenoy-Kumaresan, after checking m_e."""
         try:
-            return self._sk_tables[m_e]
+            return self._sk_inverse[m_e]
         except KeyError:
             pass
         src = self.src
@@ -79,11 +64,8 @@ class ExtensionPair:
         g = math.gcd(m_e, src.M)
         if g != 1:
             raise ValueError(f"extra modulus {m_e} shares factor {g} with the base")
-        cross_e = tuple(mi % m_e for mi in src.Mi)
-        m_inv_e = pow(src.M % m_e, -1, m_e)
-        tables = (cross_e, m_inv_e)
-        self._sk_tables[m_e] = tables
-        return tables
+        m_inv_e = self._sk_inverse[m_e] = pow(src.M % m_e, -1, m_e)
+        return m_inv_e
 
 
 @dataclass(frozen=True)
@@ -168,38 +150,28 @@ def compute_k_hat(x: RnsInt, params: KawamuraParams, backend: WordModBackend) ->
 
 
 # -- vector cores (shared with the Montgomery hot path) ----------------------
-
-
-def _crt_sum(xi, pair: ExtensionPair, backend: WordModBackend, k=None) -> List[int]:
-    """sum_i xi_i*(M/m_i) - k*M on every destination channel.
-
-    Kawamura and Shenoy-Kumaresan subtract their quotient k; Bajard-Imbert
-    passes no k, skipping the correction and keeping the excess.
-    """
-    acc = pair.dot_cols(xi, pair.cross_cols, backend)
-    if k is None:
-        return acc
-    redmod, mulmod, submod = backend.redmod, backend.mulmod, backend.submod
-    return [
-        submod(a, mulmod(redmod(k, mj), mmod, mj), mj)
-        for a, mmod, mj in zip(acc, pair.M_mod_dst, pair.dst.moduli)
-    ]
+# Each ends in one backend.dot_mods: sum_i xi_i*(M/m_i) - k*M per destination
+# channel (Bajard-Imbert passes no k and keeps the excess), or for
+# Szabo-Tanaka the mixed-radix digits against their weights.
 
 
 def st_extend_vec(values, pair: ExtensionPair, backend: WordModBackend) -> List[int]:
     digits = mrs_digits_vec(values, pair.src, backend)
-    return pair.dot_cols(digits, pair.weight_cols, backend)
+    return backend.dot_mods(digits, pair.weights, pair.dst.moduli)
 
 
 def kawamura_extend_vec(
     values, pair: ExtensionPair, params: KawamuraParams, backend: WordModBackend
 ) -> List[int]:
-    xi = _xi_vec(values, pair.src, backend)
-    return _crt_sum(xi, pair, backend, _k_accumulate(xi, params, backend))
+    src = pair.src
+    xi = _xi_vec(values, src, backend)
+    k = _k_accumulate(xi, params, backend)
+    return backend.dot_mods(xi, src.Mi, pair.dst.moduli, k, src.M)
 
 
 def bajard_imbert_vec(values, pair: ExtensionPair, backend: WordModBackend) -> List[int]:
-    return _crt_sum(_xi_vec(values, pair.src, backend), pair, backend)
+    src = pair.src
+    return backend.dot_mods(_xi_vec(values, src, backend), src.Mi, pair.dst.moduli)
 
 
 # -- public operations --------------------------------------------------------
@@ -256,10 +228,12 @@ def extend_shenoy_kumaresan(
     correction-based extensions.
     """
     _check_operand(x, pair, backend)
-    cross_e, m_inv_e = pair.sk_tables(m_e)
+    m_inv_e = pair.sk_inverse(m_e)
     if not 0 <= x_e < m_e:
         raise ValueError(f"x_e={x_e} is not a residue mod {m_e}")
-    xi = _xi_vec(x.residues, pair.src, backend)
-    sum_e = backend.dot_mod(xi, cross_e, m_e)
+    src = pair.src
+    xi = _xi_vec(x.residues, src, backend)
+    (sum_e,) = backend.dot_mods(xi, src.Mi, (m_e,))
     k = backend.mulmod(backend.submod(sum_e, x_e, m_e), m_inv_e, m_e)
-    return RnsInt(tuple(_crt_sum(xi, pair, backend, k)), pair.dst)
+    dst = pair.dst
+    return RnsInt(tuple(backend.dot_mods(xi, src.Mi, dst.moduli, k, src.M)), dst)

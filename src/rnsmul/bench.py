@@ -66,9 +66,11 @@ class BenchConfig:
                     )
         if self.repetitions < 1:
             raise ValueError(f"repetitions {self.repetitions} must be >= 1")
-        # one snapshot per backend and per variant, aliases included
+        # each name once, in order, variant aliases resolved
         self.backends = tuple(dict.fromkeys(self.backends))
         self.variants = tuple(dict.fromkeys(VARIANT_ALIASES[v] for v in self.variants))
+        self.models = tuple(dict.fromkeys(self.models))
+        self.presets = tuple(dict.fromkeys(self.presets))
 
 
 def pick_modulus(n: int, w: int, rng: random.Random, bm: RnsBase, bmp: RnsBase) -> int:

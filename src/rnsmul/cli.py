@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import basegen, bench, isa
 from .costmodel import MODELS, PRESETS
-from .wordmod import MAX_WIDTH, MIN_WIDTH
+from .wordmod import check_width
 
 
 def _parse_channels(text: str):
@@ -30,11 +30,10 @@ def _parse_channels(text: str):
 
 def _width(text: str) -> int:
     w = int(text)
-    if not MIN_WIDTH <= w <= MAX_WIDTH:
-        raise argparse.ArgumentTypeError(
-            f"width {w} outside permitted range {MIN_WIDTH}..{MAX_WIDTH}"
-        )
-    return w
+    try:
+        return check_width(w)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _csv_names(all_values):

@@ -12,8 +12,11 @@ in what one modular add, sub, mul or reduction costs.  So the value path is
 written once, in ``WordModBackend``, and a kind is a row of
 ``WordModBackend.COSTS``: the counters one op of each class ticks.
 ``PseudoMersenne`` adds its modulus-form validation and ``pm_reduce``, the
-folding reduction whose op stream the "pm" row of "mul" counts.  Backends
-own mutable counters, so one instance must not be shared between threads.
+folding reduction whose op stream the "pm" row of "mul" counts.  Every
+base extension runs on ``dot_mods``, which builds sum_i x_i * C_i - k*M once
+as a Python integer, reduces it per destination channel and counts the
+per-channel op chain it stands for.  Backends own mutable counters, so
+one instance must not be shared between threads.
 """
 
 from __future__ import annotations
@@ -100,8 +103,8 @@ class WordModBackend:
     gate accepting an arbitrary w-bit word (it canonicalizes words crossing
     between channels with different moduli).
 
-    Every op counts one event of its class; the vec_*/dot_mod/submul
-    kernels count k events at once.  dot_mod and submul accumulate with
+    Every op counts one event of its class; the vec_*/dot_mods/submul
+    kernels count k events at once.  dot_mods and submul accumulate with
     deferred reduction, which yields the exact same residues as the
     op-by-op chain.  ``counters`` is derived on each read as the raw ticks
     plus every event times its ``COSTS`` row; work that is no modular op
@@ -228,35 +231,48 @@ class WordModBackend:
         self.n_sub += len(mods)
         return [(x - y) % m for x, y, m in zip(xs, ys, mods)]
 
-    def dot_mod(self, values, col, m):
-        """Sum of products sum_i red(values[i]) * col[i] reduced mod m.
+    def dot_mods(self, values, consts, mods, k=None, M=0):
+        """Per channel j: sum_i red(values[i]) * consts[i] - k*M mod mods[j].
 
-        Semantically: each values[i] enters the channel through redmod, is
-        multiplied by col[i] with mulmod, and the products are chained with
-        addmod; the tally reflects that op stream.  The value is computed
-        with deferred reduction (raw products summed, one final reduction),
-        which is congruence-preserving and therefore bit-identical to the
-        op-by-op chain.
+        Counted as one dot_mod per channel plus, when a quotient k is given,
+        redmod(k), a mulmod by M and a submod.  The value is built once as
+        the big integer sum_i values[i] * consts[i] - k*M and reduced per
+        channel; each term is congruent to its op-chain counterpart, so the
+        residues are bit-identical.  k keeps redmod's contract: a w-bit word.
         """
-        k = len(values)
+        c = len(mods)
+        if k is not None:
+            if not 0 <= k < (1 << self.width):
+                raise ValueError(f"redmod operand {k} exceeds {self.width} bits")
+            self.n_red += c
+            self.n_mul += c
+            self.n_sub += c
+        n = len(values)
+        self.n_red += n * c
+        self.n_mul += n * c
+        self.n_add += max(n - 1, 0) * c
+        x = sum(map(_mul, values, consts))
         if k:
-            self.n_red += k
-            self.n_mul += k
-            self.n_add += k - 1
-        return sum(map(_mul, values, col)) % m
+            x -= k * M
+        return [x % m for m in mods]
+
+    def dot_mod(self, values, col, m):
+        """Sum of products sum_i red(values[i]) * col[i] reduced mod m: the
+        one-channel dot_mods, counted as the redmod/mulmod/addmod chain."""
+        return self.dot_mods(values, col, (m,))[0]
 
     def submul(self, d, rs, invs, mods):
         """Per channel j: (rs[j] - red(d)) * invs[j] mod mods[j].
 
         One redmod + submod + mulmod per element; the mixed-radix digit
-        elimination step.  Counted accordingly, computed with deferred
-        reduction like dot_mod.
+        elimination step.  Counted accordingly, computed with one final
+        reduction per element, which is congruence-preserving like dot_mods.
         """
         k = len(mods)
         self.n_red += k
         self.n_sub += k
         self.n_mul += k
-        return [(r - d) % m * inv % m for r, inv, m in zip(rs, invs, mods)]
+        return [(r - d) * inv % m for r, inv, m in zip(rs, invs, mods)]
 
 
 class NaiveModulo(WordModBackend):

@@ -28,12 +28,10 @@ PAIR22 = ExtensionPair(SRC2, DST2)
 
 
 def test_pair_tables():
-    assert PAIR22.M_mod_dst == tuple(SRC2.M % m for m in DST2.moduli)
-    for j, mj in enumerate(DST2.moduli):
-        for i in range(SRC2.n):
-            assert PAIR22.cross_cols[j][i] == SRC2.Mi[i] % mj
-    assert PAIR22.weight_cols[0][0] == 1
-    assert PAIR22.weight_cols[0][1] == 251 % 239
+    # the mixed-radix weights m_0*...*m_{i-1}, unreduced
+    assert PAIR22.weights == (1, 251)
+    src3 = build_base((251, 247, 241), 8)
+    assert ExtensionPair(src3, DST2).weights == (1, 251, 251 * 247)
 
 
 def test_pair_rejects_shared_factor():

@@ -13,6 +13,7 @@ from rnsmul.bench import (
 )
 from rnsmul.cli import main
 from rnsmul.verify import FULL_SUITES, TINY_SUITES
+from rnsmul.wordmod import check_width
 
 
 def test_gen_base_writes_file(tmp_path):
@@ -30,6 +31,15 @@ def test_gen_base_usage_error_bad_width():
     with pytest.raises(SystemExit) as exc:
         main(["gen-base", "-n", "4", "-w", "4"])
     assert exc.value.code == 2
+
+
+def test_gen_base_bad_width_reports_check_width(capsys):
+    with pytest.raises(ValueError) as want:
+        check_width(4)
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-base", "-n", "4", "-w", "4"])
+    assert exc.value.code == 2
+    assert f"error: argument -w/--width: {want.value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", ["1", "0", "-3"])
@@ -223,6 +233,16 @@ def test_bench_config_resolves_and_dedupes_names():
     assert measured == [("inst", "kawamura")]
     with pytest.raises(ValueError, match="unknown variant"):
         BenchConfig(variants=("rower",))
+
+
+def test_bench_repeated_model_and_preset_write_one_row(tmp_path):
+    out = tmp_path / "x.csv"
+    args = ["--channels", "4", "--backend", "inst", "--variant", "k"]
+    args += ["--model", "io,io", "--preset", "default,default"]
+    assert main(["bench", *args, "--out", str(out)]) == 0
+    with open(out) as fp:
+        rows = read_rows(fp)
+    assert [(r["model"], r["preset"]) for r in rows] == [("io", "default")]
 
 
 @pytest.mark.parametrize(

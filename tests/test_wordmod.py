@@ -248,6 +248,43 @@ def test_dot_mod_matches_op_chain():
         assert fused.read_counters() == chained.read_counters()
 
 
+def test_dot_mods_matches_per_channel_op_chain():
+    """The multi-channel kernel, one big-integer sum reduced per channel,
+    must equal the per-channel redmod/mulmod/addmod chain followed by
+    submod(., mulmod(redmod(k), M mod m)), in values and in counters."""
+    from rnsmul.basegen import RnsBase, generate_pm_moduli
+
+    rng = random.Random(37)
+    pool = [pm.m for pm in generate_pm_moduli(12, 64)]
+    src, dst = RnsBase(pool[0::2], 64), RnsBase(pool[1::2], 64)
+    consts, M = src.Mi, src.M
+    values = [0, src.moduli[1] - 1] + [rng.randrange(m) for m in src.moduli[2:]]
+    total = sum(v * c for v, c in zip(values, consts))
+    top_k = (1 << 64) - 1
+    assert total - src.n * M < 0 and total - top_k * M < 0  # k overestimated
+    for kind in BACKEND_KINDS:
+        for k in (None, 0, src.n, top_k):
+            fused = make_backend(kind, 64)
+            chained = make_backend(kind, 64)
+            got = fused.dot_mods(values, consts, dst.moduli, k, M)
+            want = []
+            for m in dst.moduli:
+                acc = chained.mulmod(chained.redmod(values[0], m), consts[0] % m, m)
+                for v, c in zip(values[1:], consts[1:]):
+                    acc = chained.addmod(
+                        acc, chained.mulmod(chained.redmod(v, m), c % m, m), m
+                    )
+                if k is not None:
+                    kM = chained.mulmod(chained.redmod(k, m), M % m, m)
+                    acc = chained.submod(acc, kM, m)
+                want.append(acc)
+            assert got == want, (kind, k)
+            assert fused.read_counters() == chained.read_counters(), (kind, k)
+        # k keeps redmod's contract: a w-bit word
+        with pytest.raises(ValueError, match="exceeds 64 bits"):
+            make_backend(kind, 64).dot_mods(values, consts, dst.moduli, 1 << 64, M)
+
+
 def test_submul_matches_op_chain():
     from rnsmul.basegen import build_pm_base
 
