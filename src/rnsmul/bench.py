@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from typing import IO, List, Optional, Sequence, Tuple
 
 from .basegen import RnsBase, generate_pm_moduli, split_bases
-from .costmodel import MODELS, PRESETS, CostReport, estimate, ratio_report
+from .costmodel import MODELS, PRESETS, CostReport, class_counts, estimate, ratio_report
 from .modmul import VARIANT_ALIASES, VARIANTS, MontgomeryContext, mont_mul, mont_pair
-from .wordmod import BACKEND_KINDS, check_width, make_backend
+from .wordmod import BACKEND_KINDS, check_width, make_backend, pm_modulus
 
 CSV_HEADER = (
     "n,w,backend,variant,model,preset,"
@@ -66,6 +66,10 @@ class BenchConfig:
                     )
         if self.repetitions < 1:
             raise ValueError(f"repetitions {self.repetitions} must be >= 1")
+        if pool is not None and "pm" in self.backends:
+            # the pm backend takes pseudo-Mersenne moduli only
+            for m in pool:
+                pm_modulus(m, self.w)
         # each name once, in order, variant aliases resolved
         self.backends = tuple(dict.fromkeys(self.backends))
         self.variants = tuple(dict.fromkeys(VARIANT_ALIASES[v] for v in self.variants))
@@ -119,7 +123,6 @@ def reports_from_counters(cfg: BenchConfig, measured) -> List[CostReport]:
     reports = []
     for n, kind, variant, counters in measured:
         for preset in cfg.presets:
-            delays = PRESETS[preset]()
             for model in cfg.models:
                 reports.append(
                     CostReport(
@@ -129,7 +132,7 @@ def reports_from_counters(cfg: BenchConfig, measured) -> List[CostReport]:
                         w=cfg.w,
                         model=model,
                         preset=preset,
-                        cycles=estimate(counters, delays, model),
+                        cycles=estimate(counters, PRESETS[preset], model),
                         counters=counters,
                     )
                 )
@@ -149,11 +152,11 @@ def run_sweep(cfg: BenchConfig) -> Tuple[List[CostReport], List[dict]]:
 def write_rows(reports: Sequence[CostReport], fp: IO[str]) -> None:
     fp.write(CSV_HEADER + "\n")
     for r in reports:
-        c = r.counters
+        c = class_counts(r.counters)
         fp.write(
             f"{r.n},{r.w},{r.backend},{r.variant},{r.model},{r.preset},"
-            f"{c.modadd + c.modsub},{c.modmul},{c.word_mul},"
-            f"{c.word_add + c.word_sub + c.shift + c.mask},{c.div_mod},{r.cycles}\n"
+            f"{c['modadd'] + c['modsub']},{c['modmul']},{c['int_mul']},"
+            f"{c['int_alu']},{c['hardware_div_mod']},{r.cycles}\n"
         )
 
 

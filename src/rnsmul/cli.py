@@ -16,20 +16,26 @@ from .wordmod import check_width
 
 def _parse_channels(text: str):
     """Accept '8:64:8' range syntax or a comma list like '8,16,24'."""
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return tuple(int(t) for t in text.split(","))
         parts = [int(t) for t in text.split(":")]
-        if len(parts) == 2:
-            lo, hi, step = parts[0], parts[1], 8
-        elif len(parts) == 3:
-            lo, hi, step = parts
-        else:
-            raise argparse.ArgumentTypeError(f"bad channel range {text!r}")
+        lo, hi, step = parts if len(parts) == 3 else (*parts, 8)
         return tuple(range(lo, hi + 1, step))
-    return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad channel list {text!r}: expected LO:HI[:STEP] with STEP != 0 "
+            "or a comma list of integers"
+        ) from None
 
 
 def _width(text: str) -> int:
-    w = int(text)
+    try:
+        w = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"word width must be an integer, got {text!r}"
+        ) from None
     try:
         return check_width(w)
     except ValueError as exc:
@@ -69,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="benchmark sweep, writes CSV")
     b.set_defaults(func=cmd_bench, usage_error=b.error)
-    b.add_argument("--channels", type=_parse_channels, default=bench.DEFAULT_CHANNELS)
-    b.add_argument("-w", "--width", type=int, default=64)
+    # both default to BenchConfig's, or to the --base file's
+    b.add_argument("--channels", type=_parse_channels, default=None)
+    b.add_argument("-w", "--width", type=int, default=None)
     b.add_argument(
         "--backend", type=_csv_names(bench.ALL_BACKENDS), default=bench.ALL_BACKENDS
     )
@@ -137,20 +144,24 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    sizes = {"channels": args.channels, "w": args.width}
+    sizes = {key: value for key, value in sizes.items() if value is not None}
     moduli_pool = None
     if args.base is not None:
+        if sizes:
+            args.usage_error(
+                "--base takes n and w from the file; drop --channels and -w"
+            )
         try:
             pool_base = basegen.load_base(args.base)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         moduli_pool = pool_base.moduli
-        args.channels = (pool_base.n // 2,)
-        args.width = pool_base.w
+        sizes = {"channels": (pool_base.n // 2,), "w": pool_base.w}
     try:
         cfg = bench.BenchConfig(
-            channels=tuple(args.channels),
-            w=args.width,
+            **sizes,
             backends=args.backend,
             variants=args.variant,
             models=args.model,

@@ -10,10 +10,9 @@ Estimates are meant for ratios and orderings, never absolute cycle counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Sequence
-
-import numpy as np
 
 from .wordmod import OpCounters
 
@@ -22,8 +21,7 @@ CLASSES = ("int_alu", "int_mul", "hardware_div_mod", "modadd", "modsub", "modmul
 
 @dataclass(frozen=True)
 class DelayTable:
-    """Per-unit latencies in cycles; the divide/modulo unit is the only
-    non-pipelined one."""
+    """Per-unit latencies in cycles."""
 
     int_alu: int = 1
     int_mul: int = 3
@@ -31,28 +29,21 @@ class DelayTable:
     modadd: int = 2
     modsub: int = 2
     modmul: int = 4
-    pipelined: Dict[str, bool] = field(
-        default_factory=lambda: {c: c != "hardware_div_mod" for c in CLASSES}
-    )
 
     def __post_init__(self):
         for c in CLASSES:
             if getattr(self, c) < 1:
                 raise ValueError(f"delay of {c} must be >= 1")
 
-    @classmethod
-    def long_delays(cls) -> "DelayTable":
-        # slower modular operators: adder 4, multiplier 9
-        return cls(modadd=4, modsub=4, modmul=9)
 
-
+#: named delay tables; "long" has slower modular operators (adder 4, multiplier 9)
 PRESETS = {
-    "default": DelayTable,
-    "long": DelayTable.long_delays,
+    "default": DelayTable(),
+    "long": DelayTable(modadd=4, modsub=4, modmul=9),
 }
 
 #: out-of-order functional unit counts: two integer ALUs, one of the rest
-DEFAULT_UNITS = {
+UNITS = {
     "int_alu": 2,
     "int_mul": 1,
     "hardware_div_mod": 1,
@@ -60,6 +51,9 @@ DEFAULT_UNITS = {
     "modsub": 1,
     "modmul": 1,
 }
+
+#: the only unit that is not pipelined: each op holds it for its full latency
+NOT_PIPELINED = "hardware_div_mod"
 
 
 def class_counts(counters: OpCounters) -> Dict[str, int]:
@@ -80,11 +74,7 @@ def estimate_io(counters: OpCounters, delays: DelayTable) -> int:
     return sum(counts[c] * getattr(delays, c) for c in CLASSES)
 
 
-def estimate_ooo(
-    counters: OpCounters,
-    delays: DelayTable,
-    units: Dict[str, int] | None = None,
-) -> int:
+def estimate_ooo(counters: OpCounters, delays: DelayTable) -> int:
     """Throughput-bound heuristic for an out-of-order core.
 
     The busiest unit sets the pace: pipelined units retire one op per
@@ -92,19 +82,14 @@ def estimate_ooo(
     drain of the slowest active unit is added.  Deliberately coarse;
     only orderings are meaningful.
     """
-    if units is None:
-        units = DEFAULT_UNITS
     counts = class_counts(counters)
     active = [c for c in CLASSES if counts[c] > 0]
     if not active:
         return 0
     best = 0
     for c in active:
-        u = units.get(c, 1)
-        if u < 1:
-            raise ValueError(f"unit count for {c} must be >= 1")
-        per_op = 1 if delays.pipelined.get(c, True) else getattr(delays, c)
-        best = max(best, -(-counts[c] // u) * per_op)
+        per_op = getattr(delays, c) if c == NOT_PIPELINED else 1
+        best = max(best, -(-counts[c] // UNITS[c]) * per_op)
     return best + max(getattr(delays, c) for c in active)
 
 
@@ -145,17 +130,6 @@ RATIO_ROWS = (
 )
 
 
-def cycle_ratio(slow: CostReport, fast: CostReport) -> float:
-    """Speed ratio slow/fast of two configurations measured under the same
-    n and w (a config against itself is exactly 1.0)."""
-    if slow.n != fast.n or slow.w != fast.w:
-        raise ValueError(
-            f"configurations not comparable: n {slow.n} vs {fast.n}, "
-            f"w {slow.w} vs {fast.w}"
-        )
-    return slow.cycles / fast.cycles
-
-
 def ratio_report(reports: Sequence[CostReport]) -> List[dict]:
     """Pairwise slow/fast cycle ratios between configurations measured
     under the same n and w, grouped by (model, preset)."""
@@ -188,20 +162,32 @@ def ratio_report(reports: Sequence[CostReport]) -> List[dict]:
                     "slow_variant": sv,
                     "fast_backend": fb,
                     "fast_variant": fv,
-                    "ratio": cycle_ratio(slow, fast),
+                    "ratio": slow.cycles / fast.cycles,
                 }
             )
     return out
 
 
 def quadratic_fit_r2(ns: Sequence[int], cycles: Sequence[int]) -> float:
-    """R^2 of a degree-2 least-squares fit of cycles against channel count."""
-    xs = np.asarray(ns, dtype=float)
-    ys = np.asarray(cycles, dtype=float)
-    coeffs = np.polyfit(xs, ys, 2)
-    pred = np.polyval(coeffs, xs)
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    if ss_tot == 0.0:
+    """R^2 of the degree-2 least-squares fit of cycles against channel
+    count, solved exactly from the 3x3 normal equations."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in zip(ns, cycles, strict=True)]
+    if len({x for x, _ in pts}) < 3:
+        raise ValueError("a degree-2 fit needs at least three distinct n")
+    s = [sum(x**k for x, _ in pts) for k in range(5)]
+    t = [sum(x**k * y for x, y in pts) for k in range(3)]
+    rows = [[s[i], s[i + 1], s[i + 2], t[i]] for i in range(3)]
+    # Gauss-Jordan; the Gram matrix of three distinct n is positive definite,
+    # so no pivot is zero
+    for i in range(3):
+        rows[i] = [v / rows[i][i] for v in rows[i]]
+        for r in range(3):
+            if r != i:
+                rows[r] = [v - rows[r][i] * p for v, p in zip(rows[r], rows[i])]
+    a, b, c = (row[3] for row in rows)
+    mean = t[0] / len(pts)
+    ss_res = sum((y - a - b * x - c * x * x) ** 2 for x, y in pts)
+    ss_tot = sum((y - mean) ** 2 for _, y in pts)
+    if ss_tot == 0:
         return 1.0
-    return 1.0 - ss_res / ss_tot
+    return float(1 - ss_res / ss_tot)

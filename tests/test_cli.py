@@ -42,6 +42,14 @@ def test_gen_base_bad_width_reports_check_width(capsys):
     assert f"error: argument -w/--width: {want.value}" in capsys.readouterr().err
 
 
+def test_gen_base_usage_error_non_integer_width(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-base", "-n", "4", "-w", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "word width must be an integer, got 'x'" in err and "_width" not in err
+
+
 @pytest.mark.parametrize("n", ["1", "0", "-3"])
 def test_gen_base_usage_error_too_few_moduli(n, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -181,12 +189,18 @@ def test_missing_subcommand():
         ["--model", "x"],
         ["--preset", "fast"],
         ["--variant", "rower"],
+        ["--channels", "x"],
+        ["--channels", "8:x"],
+        ["--channels", "8:16:0"],
+        ["-w", "0"],
     ],
 )
-def test_bench_usage_error_argument_values(args, tmp_path):
+def test_bench_usage_error_argument_values(args, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", *args, "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "_parse_channels" not in err and "_width" not in err
 
 
 def test_bench_sieve_exhausted(tmp_path, capsys):
@@ -275,3 +289,30 @@ def test_bench_base_file_pool_unusable(count, tmp_path, capsys, monkeypatch):
         main(["bench", "--base", str(base_path), "--out", str(out)])
     assert exc.value.code == 2
     assert "error: " in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sizes", [["--channels", "32"], ["-w", "64"], ["--channels", "32", "-w", "64"]]
+)
+def test_bench_base_file_excludes_channels_and_width(sizes, tmp_path, capsys):
+    base_path = tmp_path / "pool.txt"
+    assert main(["gen-base", "-n", "8", "-w", "16", "-o", str(base_path)]) == 0
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--base", str(base_path), *sizes, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--base" in capsys.readouterr().err and not out.exists()
+
+
+def test_bench_base_file_pm_needs_pseudo_mersenne_pool(tmp_path, capsys):
+    base_path = tmp_path / "pool.txt"
+    base_path.write_text("8 4\n251\n247\n241\n239\n")  # 239 = 2^8 - 17, c too big
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--base", str(base_path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not pseudo-Mersenne" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [base_path]
+    args = ["bench", "--base", str(base_path), "--backend", "inst", "--out", str(out)]
+    assert main(args) == 0
+    assert {r["backend"] for r in read_rows(io.StringIO(out.read_text()))} == {"inst"}
