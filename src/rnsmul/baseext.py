@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from typing import List
@@ -30,8 +31,8 @@ class ExtensionPair:
     """A checked pair of bases for extending from src to dst.
 
     weights[i] holds the mixed-radix weight m_0*...*m_{i-1} of the source
-    base, the constants Szabo-Tanaka sums its digits against; the CRT-based
-    extensions sum against src.Mi.
+    base, the constants Szabo-Tanaka sums its digits against, built on
+    first read; the CRT-based extensions sum against src.Mi.
     """
 
     def __init__(self, src: RnsBase, dst: RnsBase):
@@ -44,15 +45,13 @@ class ExtensionPair:
             )
         self.src = src
         self.dst = dst
-        self.weights = (1, *accumulate(src.moduli[:-1], mul))
-        self._sk_inverse: dict = {}
+
+    @cached_property
+    def weights(self) -> tuple:
+        return (1, *accumulate(self.src.moduli[:-1], mul))
 
     def sk_inverse(self, m_e: int) -> int:
         """M^-1 mod m_e for Shenoy-Kumaresan, after checking m_e."""
-        try:
-            return self._sk_inverse[m_e]
-        except KeyError:
-            pass
         src = self.src
         if m_e <= src.n:
             raise ValueError(
@@ -64,8 +63,7 @@ class ExtensionPair:
         g = math.gcd(m_e, src.M)
         if g != 1:
             raise ValueError(f"extra modulus {m_e} shares factor {g} with the base")
-        m_inv_e = self._sk_inverse[m_e] = pow(src.M % m_e, -1, m_e)
-        return m_inv_e
+        return pow(src.M % m_e, -1, m_e)
 
 
 @dataclass(frozen=True)

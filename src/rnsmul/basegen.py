@@ -1,8 +1,9 @@
 """Deterministic pseudo-Mersenne base generation and precomputed constants.
 
 A base is an ordered set of pairwise-coprime w-bit moduli together with
-every table the conversions and extensions need.  All tables are computed
-with arbitrary-precision arithmetic once, at construction; the hot paths
+every table the conversions and extensions need.  Tables are computed with
+arbitrary-precision arithmetic once: the CRT constants at construction, the
+mixed-radix and pseudo-Mersenne tables on first read.  The hot paths
 afterwards touch only w-bit words and double-width products.
 """
 
@@ -26,11 +27,13 @@ def generate_pm_moduli(n: int, w: int) -> List[PmModulus]:
     if n < 2:
         raise ValueError(f"need at least 2 moduli, got n={n}")
     kept: List[PmModulus] = []
+    product = 1
     top = 1 << w
     for c in range(1, 1 << (w // 2), 2):
         m = top - c
-        if all(math.gcd(m, p.m) == 1 for p in kept):
+        if math.gcd(m, product) == 1:
             kept.append(pm_modulus(m, w))
+            product *= m
             if len(kept) == n:
                 return kept
     raise ValueError(
@@ -43,14 +46,18 @@ class RnsBase:
     """An RNS base: moduli plus precomputed conversion constants.
 
     Attributes:
-        moduli:  the n channel moduli, descending.
-        M:       product of the moduli (the dynamic range).
-        Mi:      M // m_i per channel.
-        inv_Mi:  ((M / m_i) mod m_i)^-1 mod m_i per channel.
-        mrs_inv: mrs_inv[i][j] = m_i^-1 mod m_j for i < j (mixed-radix
-                 elimination constants; entries with j <= i are unused).
+        moduli:    the n channel moduli, descending.
+        M:         product of the moduli (the dynamic range).
+        Mi:        M // m_i per channel.
+        inv_Mi:    ((M / m_i) mod m_i)^-1 mod m_i per channel.
+        mrs_inv:   mrs_inv[i][j - i - 1] = m_i^-1 mod m_j for i < j (the
+                   mixed-radix elimination constants), built on first read.
+        pm_moduli: the channels as PmModulus, built on first read; raises
+                   if a channel is not pseudo-Mersenne at w.
 
-    Immutable after construction; safe to share between threads.
+    Immutable after construction; safe to share between threads.  A
+    table built on first read is deterministic, so a race can at most
+    build it twice.
     """
 
     def __init__(self, moduli: Sequence[int], w: int):
@@ -58,44 +65,40 @@ class RnsBase:
         moduli = tuple(int(m) for m in moduli)
         if len(moduli) < 2:
             raise ValueError(f"need at least 2 moduli, got {len(moduli)}")
-        for m in moduli:
+        M = 1
+        for j, m in enumerate(moduli):
             if not 2 <= m < (1 << w):
                 raise ValueError(f"modulus {m} out of range for w={w}")
-        for i in range(len(moduli)):
-            for j in range(i + 1, len(moduli)):
-                g = math.gcd(moduli[i], moduli[j])
-                if g != 1:
-                    raise ValueError(
-                        f"moduli {moduli[i]} and {moduli[j]} are not coprime "
-                        f"(share factor {g})"
-                    )
+            if math.gcd(m, M) != 1:
+                # name a pair: the gcd with M can exceed their common factor
+                k, g = next(
+                    (k, g) for k in moduli[:j] if (g := math.gcd(k, m)) != 1
+                )
+                raise ValueError(
+                    f"moduli {k} and {m} are not coprime (share factor {g})"
+                )
+            M *= m
         self.w = w
         self.moduli = moduli
         self.n = len(moduli)
-        self.M = math.prod(moduli)
-        self.Mi = tuple(self.M // m for m in moduli)
+        self.M = M
+        self.Mi = tuple(M // m for m in moduli)
         self.inv_Mi = tuple(
             pow(mi % m, -1, m) for mi, m in zip(self.Mi, moduli)
         )
-        # m_i^-1 mod m_j for i < j, row-indexed by i
-        self.mrs_inv = tuple(
-            tuple(
-                pow(moduli[i], -1, moduli[j]) if j > i else 0
-                for j in range(self.n)
-            )
-            for i in range(self.n)
+
+    @cached_property
+    def mrs_inv(self) -> tuple:
+        # rows from lists, each allocated once at its size: tuples of many
+        # sizes grown from generators fragment the heap over repeated builds
+        return tuple(
+            tuple([pow(mi, -1, mj) for mj in self.moduli[i + 1:]])
+            for i, mi in enumerate(self.moduli[:-1])
         )
 
     @cached_property
-    def _pm(self) -> tuple:
+    def pm_moduli(self) -> tuple:
         return tuple(pm_modulus(m, self.w) for m in self.moduli)
-
-    def pm_params(self, w: int) -> tuple:
-        """Pseudo-Mersenne parameters per channel; error if any channel
-        is not PM form at width w."""
-        if w != self.w:
-            raise ValueError(f"base has w={self.w}, backend expects w={w}")
-        return self._pm
 
     def __repr__(self):
         return f"RnsBase(n={self.n}, w={self.w}, moduli={list(self.moduli)})"

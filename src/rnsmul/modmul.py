@@ -151,6 +151,10 @@ def mont_mul(
     tests only and changes nothing about the computation.
     """
     bm, bmp = ctx.bm, ctx.bmp
+    if not (
+        x.in_bm.base is y.in_bm.base is bm and x.in_bmp.base is y.in_bmp.base is bmp
+    ):
+        raise ValueError("operand does not live on the context's bases")
     s_m = backend.vec_mul(x.in_bm.residues, y.in_bm.residues, bm)
     s_mp = backend.vec_mul(x.in_bmp.residues, y.in_bmp.residues, bmp)
     t = backend.vec_mul(s_m, ctx.neg_p_inv_bm, bm)

@@ -56,14 +56,10 @@ def mrs_digits_vec(values, base: RnsBase, backend: WordModBackend) -> list:
     channel: residue_j <- (residue_j - d_i) * m_i^-1 mod m_j.  Exactly
     n(n-1)/2 submod and n(n-1)/2 mulmod steps.
     """
-    n = base.n
     mods = base.moduli
     work = list(values)
-    for i in range(n - 1):
-        d = work[i]
-        inv_row = base.mrs_inv[i]
-        tail = backend.submul(d, work[i + 1:], inv_row[i + 1:], mods[i + 1:])
-        work[i + 1:] = tail
+    for i, inv_row in enumerate(base.mrs_inv):
+        work[i + 1:] = backend.submul(work[i], work[i + 1:], inv_row, mods[i + 1:])
     return work
 
 

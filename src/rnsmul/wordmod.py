@@ -256,11 +256,6 @@ class WordModBackend:
             x -= k * M
         return [x % m for m in mods]
 
-    def dot_mod(self, values, col, m):
-        """Sum of products sum_i red(values[i]) * col[i] reduced mod m: the
-        one-channel dot_mods, counted as the redmod/mulmod/addmod chain."""
-        return self.dot_mods(values, col, (m,))[0]
-
     def submul(self, d, rs, invs, mods):
         """Per channel j: (rs[j] - red(d)) * invs[j] mod mods[j].
 
@@ -296,8 +291,9 @@ class PseudoMersenne(WordModBackend):
         pm_modulus(m, self.width)
 
     def check_base(self, base):
-        base.pm_params(self.width)  # raises if any channel is not PM form
-        return base.moduli
+        moduli = super().check_base(base)
+        base.pm_moduli  # raises if any channel is not PM form
+        return moduli
 
     def pm_reduce(self, a: int, pm: PmModulus) -> int:
         """Reduce a double-width value to the canonical residue mod pm.m.

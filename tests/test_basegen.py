@@ -15,6 +15,7 @@ from rnsmul.basegen import (
     save_base,
     write_base,
 )
+from rnsmul.wordmod import PseudoMersenne
 
 
 def test_sieve_w8():
@@ -43,6 +44,11 @@ def test_sieve_pairwise_coprime():
         for i in range(n):
             for j in range(i + 1, n):
                 assert math.gcd(ms[i], ms[j]) == 1
+        # greedy: every skipped candidate above the last kept modulus shares
+        # a factor with an earlier kept one
+        for m in range(ms[0] - 2, ms[-1], -2):
+            if m not in ms:
+                assert any(math.gcd(m, k) != 1 for k in ms if k > m), m
 
 
 def test_build_base_357():
@@ -56,6 +62,9 @@ def test_build_base_357():
 def test_build_base_rejects_non_coprime():
     with pytest.raises(ValueError, match="3 and 6"):
         build_base((3, 6, 7), 8)
+    # names the first earlier modulus and their gcd, not the gcd with M = 15
+    with pytest.raises(ValueError, match="3 and 15.*share factor 3"):
+        build_base((3, 5, 15), 8)
 
 
 def test_build_base_product():
@@ -69,7 +78,7 @@ def test_tables_satisfy_congruences():
         assert base.inv_Mi[i] * ((base.M // m) % m) % m == 1
     for i in range(base.n):
         for j in range(i + 1, base.n):
-            assert base.mrs_inv[i][j] * base.moduli[i] % base.moduli[j] == 1
+            assert base.mrs_inv[i][j - i - 1] * base.moduli[i] % base.moduli[j] == 1
 
 
 def test_dynamic_range_of_generated_bases():
@@ -88,11 +97,11 @@ def test_base_validation():
 
 
 def test_pm_params_rejects_foreign_width():
-    base = build_pm_base(4, 16)
+    be = PseudoMersenne(8)
     with pytest.raises(ValueError, match="w=16"):
-        base.pm_params(8)
+        be.check_base(build_pm_base(4, 16))
     with pytest.raises(ValueError, match="pseudo-Mersenne"):
-        build_base((3, 5, 7), 8).pm_params(8)
+        be.check_base(build_base((3, 5, 7), 8))
 
 
 def test_serialization_round_trip(tmp_path):

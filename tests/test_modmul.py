@@ -269,3 +269,20 @@ def test_mont_mul_rejects_backend_of_another_width(kind):
     x = to_mont(ctx, 5)
     with pytest.raises(ValueError, match="base has w=64, backend expects w=8"):
         mont_mul(ctx, x, x, make_backend(kind, 8))
+
+
+def test_mont_mul_rejects_operands_of_another_context():
+    ctx6 = context_new(1_000_003, 6, 16, "kawamura")
+    ctx4 = context_new(1_000_003, 4, 16, "kawamura")
+    twin = context_new(1_000_003, 6, 16, "kawamura")  # equal bases, other objects
+    y = to_mont(ctx6, 7)
+    be = make_backend("pm", 16)
+    for x in (
+        to_mont(ctx4, 5),
+        to_mont(twin, 5),
+        y._replace(in_bmp=to_mont(twin, 7).in_bmp),
+    ):
+        with pytest.raises(ValueError, match="context's bases"):
+            mont_mul(ctx6, x, y, be)
+        with pytest.raises(ValueError, match="context's bases"):
+            mont_mul(ctx6, y, x, be)

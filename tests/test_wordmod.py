@@ -238,7 +238,7 @@ def test_dot_mod_matches_op_chain():
         chained = make_backend(kind, 64)
         for m in base.moduli:
             col = [rng.randrange(m) for _ in src_words]
-            got = fused.dot_mod(src_words, col, m)
+            got = fused.dot_mods(src_words, col, (m,))[0]
             acc = chained.mulmod(chained.redmod(src_words[0], m), col[0], m)
             for v, t in zip(src_words[1:], col[1:]):
                 acc = chained.addmod(
@@ -344,7 +344,7 @@ def test_cost_table_pins_per_op_and_kernel_deltas():
         "submod": lambda be: be.submod(10, 200, 251),
         "mulmod": lambda be: be.mulmod(250, 250, 251),
         "redmod": lambda be: be.redmod(254, 251),
-        "dot_mod": lambda be: be.dot_mod([255, 7, 0, 128, 251], [1, 2, 3, 4, 5], 251),
+        "dot_mod": lambda be: be.dot_mods([255, 7, 0, 128, 251], [1, 2, 3, 4, 5], (251,))[0],
         "submul": lambda be: be.submul(254, [1, 2, 3, 4, 5], [6, 7, 8, 9, 10], mods),
     }
     for kind, rows in want.items():
