@@ -17,9 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate
-from operator import mul
 from typing import List
 
 from .basegen import RnsBase
@@ -30,9 +27,8 @@ from .wordmod import WordModBackend
 class ExtensionPair:
     """A checked pair of bases for extending from src to dst.
 
-    weights[i] holds the mixed-radix weight m_0*...*m_{i-1} of the source
-    base, the constants Szabo-Tanaka sums its digits against, built on
-    first read; the CRT-based extensions sum against src.Mi.
+    Holds no table: Szabo-Tanaka sums its digits against src.weights, the
+    CRT-based extensions against src.Mi.
     """
 
     def __init__(self, src: RnsBase, dst: RnsBase):
@@ -45,10 +41,6 @@ class ExtensionPair:
             )
         self.src = src
         self.dst = dst
-
-    @cached_property
-    def weights(self) -> tuple:
-        return (1, *accumulate(self.src.moduli[:-1], mul))
 
     def sk_inverse(self, m_e: int) -> int:
         """M^-1 mod m_e for Shenoy-Kumaresan, after checking m_e."""
@@ -155,7 +147,7 @@ def compute_k_hat(x: RnsInt, params: KawamuraParams, backend: WordModBackend) ->
 
 def st_extend_vec(values, pair: ExtensionPair, backend: WordModBackend) -> List[int]:
     digits = mrs_digits_vec(values, pair.src, backend)
-    return backend.dot_mods(digits, pair.weights, pair.dst.moduli)
+    return backend.dot_mods(digits, pair.src.weights, pair.dst.moduli)
 
 
 def kawamura_extend_vec(

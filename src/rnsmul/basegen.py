@@ -3,14 +3,15 @@
 A base is an ordered set of pairwise-coprime w-bit moduli together with
 every table the conversions and extensions need.  Tables are computed with
 arbitrary-precision arithmetic once: the CRT constants at construction, the
-mixed-radix and pseudo-Mersenne tables on first read.  The hot paths
-afterwards touch only w-bit words and double-width products.
+mixed-radix and pseudo-Mersenne tables on first read.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 from typing import IO, Iterable, List, Sequence
 
 from .wordmod import PmModulus, check_width, pm_modulus
@@ -50,8 +51,10 @@ class RnsBase:
         M:         product of the moduli (the dynamic range).
         Mi:        M // m_i per channel.
         inv_Mi:    ((M / m_i) mod m_i)^-1 mod m_i per channel.
-        mrs_inv:   mrs_inv[i][j - i - 1] = m_i^-1 mod m_j for i < j (the
-                   mixed-radix elimination constants), built on first read.
+        weights:   the mixed-radix weights W_i = m_0*...*m_{i-1}, W_0 = 1,
+                   built on first read.
+        winv:      W_i^-1 mod m_i per channel (Garner's digit constants),
+                   built on first read.
         pm_moduli: the channels as PmModulus, built on first read; raises
                    if a channel is not pseudo-Mersenne at w.
 
@@ -88,13 +91,12 @@ class RnsBase:
         )
 
     @cached_property
-    def mrs_inv(self) -> tuple:
-        # rows from lists, each allocated once at its size: tuples of many
-        # sizes grown from generators fragment the heap over repeated builds
-        return tuple(
-            tuple([pow(mi, -1, mj) for mj in self.moduli[i + 1:]])
-            for i, mi in enumerate(self.moduli[:-1])
-        )
+    def weights(self) -> tuple:
+        return (1, *accumulate(self.moduli[:-1], mul))
+
+    @cached_property
+    def winv(self) -> tuple:
+        return tuple([pow(W % m, -1, m) for W, m in zip(self.weights, self.moduli)])
 
     @cached_property
     def pm_moduli(self) -> tuple:

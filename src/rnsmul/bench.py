@@ -66,10 +66,12 @@ class BenchConfig:
                     )
         if self.repetitions < 1:
             raise ValueError(f"repetitions {self.repetitions} must be >= 1")
-        if pool is not None and "pm" in self.backends:
-            # the pm backend takes pseudo-Mersenne moduli only
-            for m in pool:
-                pm_modulus(m, self.w)
+        if pool is not None:
+            if "pm" in self.backends:
+                # the pm backend takes pseudo-Mersenne moduli only
+                for m in pool:
+                    pm_modulus(m, self.w)
+            check_pool_range(pool, len(pool) // 2, self.w)
         # each name once, in order, variant aliases resolved
         self.backends = tuple(dict.fromkeys(self.backends))
         self.variants = tuple(dict.fromkeys(VARIANT_ALIASES[v] for v in self.variants))
@@ -77,15 +79,37 @@ class BenchConfig:
         self.presets = tuple(dict.fromkeys(self.presets))
 
 
-def pick_modulus(n: int, w: int, rng: random.Random, bm: RnsBase, bmp: RnsBase) -> int:
-    """Seeded odd modulus p sized well inside the dynamic range.
-
-    Bit length n*w - 2*bits(n+2) - 4 leaves room for both sizing rules;
-    rejection keeps p coprime to the base products.
-    """
+def modulus_bits(n: int, w: int) -> int:
+    """Bit length of the sweep's modulus p: n*w - 2*bits(n+2) - 4 leaves
+    room for both sizing rules on a sieved pool."""
     bits = n * w - 2 * (n + 2).bit_length() - 4
     if bits < 2:
         raise ValueError(f"no room for a modulus at n={n}, w={w}")
+    return bits
+
+
+def check_pool_range(pool: Sequence[int], n: int, w: int) -> None:
+    """That the two bases split from pool hold every p pick_modulus can
+    draw: M > (n+2)^2*p and M' > 2(n+2)*p for all p below 2^bits."""
+    bits = modulus_bits(n, w)
+    p_max = (1 << bits) - 1
+    need_m = (n + 2) * (n + 2) * p_max
+    need_mp = 2 * (n + 2) * p_max
+    M, Mp = math.prod(pool[0::2]), math.prod(pool[1::2])
+    if M <= need_m or Mp <= need_mp:
+        raise ValueError(
+            f"moduli pool too small for the sweep's modulus of {bits} bits "
+            f"at n={n}, w={w}: need M > (n+2)^2*p ({need_m.bit_length()} bits, "
+            f"pool gives {M.bit_length()}) and M' > 2(n+2)*p "
+            f"({need_mp.bit_length()} bits, pool gives {Mp.bit_length()})"
+        )
+
+
+def pick_modulus(n: int, w: int, rng: random.Random, bm: RnsBase, bmp: RnsBase) -> int:
+    """Seeded odd modulus p of modulus_bits(n, w) bits, sized well inside
+    the dynamic range; rejection keeps p coprime to the base products.
+    """
+    bits = modulus_bits(n, w)
     while True:
         p = rng.getrandbits(bits - 1) | (1 << (bits - 1)) | 1
         if math.gcd(p, bm.M) == 1 and math.gcd(p, bmp.M) == 1:

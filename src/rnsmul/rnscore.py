@@ -1,8 +1,9 @@
 """RNS representation, conversions (CRT and mixed-radix), channel arithmetic.
 
 Residues are kept canonical everywhere: residues[i] < moduli[i].  The CRT
-reconstruction is the only big-integer code path and exists for I/O and
-oracle checks; runtime arithmetic stays on w-bit words.
+reconstruction exists for I/O and oracle checks; the mixed-radix digits
+come from the backend's counted kernel, which computes them on Python
+integers and counts the w-bit word ops of the elimination chain.
 """
 
 from __future__ import annotations
@@ -50,17 +51,15 @@ def from_rns_crt(x: RnsInt) -> int:
 
 
 def mrs_digits_vec(values, base: RnsBase, backend: WordModBackend) -> list:
-    """Successive elimination producing mixed-radix digits (list form).
+    """Mixed-radix digits of a residue vector (list form).
 
-    Digit i is fixed after eliminating digits 0..i-1 from every later
-    channel: residue_j <- (residue_j - d_i) * m_i^-1 mod m_j.  Exactly
-    n(n-1)/2 submod and n(n-1)/2 mulmod steps.
+    A sequential chain over the digits in Garner's form: digit i is
+    (x_i - X mod m_i) * W_i^-1 mod m_i, where X is the value of digits
+    0..i-1 and W_i = m_0*...*m_{i-1}.  It equals the residue successive
+    elimination leaves in channel i, and is counted as that chain:
+    n(n-1)/2 each of redmod, submod and mulmod.
     """
-    mods = base.moduli
-    work = list(values)
-    for i, inv_row in enumerate(base.mrs_inv):
-        work[i + 1:] = backend.submul(work[i], work[i + 1:], inv_row, mods[i + 1:])
-    return work
+    return backend.mrs_digits(values, base.moduli, base.winv, base.weights)
 
 
 def to_mrs(x: RnsInt, backend: WordModBackend) -> MrsDigits:

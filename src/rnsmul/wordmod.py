@@ -12,15 +12,23 @@ in what one modular add, sub, mul or reduction costs.  So the value path is
 written once, in ``WordModBackend``, and a kind is a row of
 ``WordModBackend.COSTS``: the counters one op of each class ticks.
 ``PseudoMersenne`` adds its modulus-form validation and ``pm_reduce``, the
-folding reduction whose op stream the "pm" row of "mul" counts.  Every
-base extension runs on ``dot_mods``, which builds sum_i x_i * C_i - k*M once
-as a Python integer, reduces it per destination channel and counts the
-per-channel op chain it stands for.  Backends own mutable counters, so
-one instance must not be shared between threads.
+folding reduction whose op stream the "pm" row of "mul" counts.
+
+Two multi-channel kernels carry the base extensions; each computes on
+Python integers and counts the op chain it stands for.  ``dot_mods`` builds
+sum_i x_i * C_i - k*M once and reduces it per destination channel through
+a remainder tree: the sum is reduced modulo the product of each half of the
+channels, recursively, down to leaves of at most ``TREE_LEAF`` channels
+that take one ``%`` each.  ``mrs_digits`` is Garner's form of the
+mixed-radix elimination chain: digit i is (x_i - X mod m_i) * W_i^-1 mod m_i,
+with X the value of the digits so far and W_i = m_0 * ... * m_{i-1}.
+Backends own mutable counters and a small cache of remainder trees, so one
+instance must not be shared between threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import mul as _mul
@@ -28,6 +36,8 @@ from typing import NamedTuple
 
 MIN_WIDTH = 8
 MAX_WIDTH = 64
+TREE_LEAF = 4  # channels a remainder-tree leaf reduces with one % each
+TREES_KEPT = 8  # remainder trees a backend caches before it starts over
 
 
 def check_width(w: int) -> int:
@@ -103,9 +113,9 @@ class WordModBackend:
     gate accepting an arbitrary w-bit word (it canonicalizes words crossing
     between channels with different moduli).
 
-    Every op counts one event of its class; the vec_*/dot_mods/submul
-    kernels count k events at once.  dot_mods and submul accumulate with
-    deferred reduction, which yields the exact same residues as the
+    Every op counts one event of its class; the vec_*/dot_mods/mrs_digits
+    kernels count k events at once.  dot_mods and mrs_digits accumulate
+    with deferred reduction, which yields the exact same residues as the
     op-by-op chain.  ``counters`` is derived on each read as the raw ticks
     plus every event times its ``COSTS`` row; work that is no modular op
     (pm_reduce's folds, the Kawamura accumulator) ticks ``raw`` directly.
@@ -146,6 +156,8 @@ class WordModBackend:
             for i, op in enumerate(OPS)
             for name, delta in self.COSTS[self.kind][op].items()
         ]
+        # id(mods) -> (mods, remainder tree); holding mods keeps its id unique
+        self._trees = {}
         self.reset_counters()
 
     # -- validation helpers ------------------------------------------------
@@ -237,8 +249,9 @@ class WordModBackend:
         Counted as one dot_mod per channel plus, when a quotient k is given,
         redmod(k), a mulmod by M and a submod.  The value is built once as
         the big integer sum_i values[i] * consts[i] - k*M and reduced per
-        channel; each term is congruent to its op-chain counterpart, so the
-        residues are bit-identical.  k keeps redmod's contract: a w-bit word.
+        channel through the remainder tree of mods; each term is congruent
+        to its op-chain counterpart, so the residues are bit-identical.  k
+        keeps redmod's contract: a w-bit word.
         """
         c = len(mods)
         if k is not None:
@@ -254,20 +267,68 @@ class WordModBackend:
         x = sum(map(_mul, values, consts))
         if k:
             x -= k * M
-        return [x % m for m in mods]
+        if c <= TREE_LEAF:  # the whole tree is one leaf; nothing to cache
+            return [x % m for m in mods]
+        out = []
+        _tree_reduce(x, self._tree(mods), out)
+        return out
 
-    def submul(self, d, rs, invs, mods):
-        """Per channel j: (rs[j] - red(d)) * invs[j] mod mods[j].
+    def _tree(self, mods):
+        """The remainder tree of mods, cached by identity so that a call
+        hashes no moduli tuple; a base's moduli tuple is one object."""
+        hit = self._trees.get(id(mods))
+        if hit is not None and hit[0] is mods:
+            return hit[1]
+        if len(self._trees) >= TREES_KEPT:
+            self._trees.clear()
+        tree = _product_tree(tuple(mods))
+        self._trees[id(mods)] = (mods, tree)
+        return tree
 
-        One redmod + submod + mulmod per element; the mixed-radix digit
-        elimination step.  Counted accordingly, computed with one final
-        reduction per element, which is congruence-preserving like dot_mods.
+    def mrs_digits(self, values, mods, winvs, weights):
+        """Mixed-radix digits of the residues values, in Garner's form.
+
+        Digit i is d_i = (values[i] - X mod m_i) * winvs[i] mod m_i with
+        X = sum_{j<i} d_j * weights[j], weights[j] = m_0 * ... * m_{j-1} and
+        winvs[i] = weights[i]^-1 mod m_i.  The elimination chain leaves
+        (x_i - sum_{j<i} d_j W_j) * W_i^-1 mod m_i in channel i after i
+        steps, which is the same residue, so the digits are bit-identical
+        to the chain's; digit 0 is values[0] as the chain leaves it.
+        Counted as the chain: n(n-1)/2 each of redmod, submod and mulmod.
         """
-        k = len(mods)
-        self.n_red += k
-        self.n_sub += k
-        self.n_mul += k
-        return [(r - d) * inv % m for r, inv, m in zip(rs, invs, mods)]
+        n = len(values)
+        steps = n * (n - 1) // 2
+        self.n_red += steps
+        self.n_sub += steps
+        self.n_mul += steps
+        x = values[0]
+        digits = [x]
+        for i in range(1, n):
+            m = mods[i]
+            d = (values[i] - x % m) * winvs[i] % m
+            digits.append(d)
+            x += d * weights[i]
+        return digits
+
+
+def _product_tree(mods):
+    """A leaf is the tuple of at most TREE_LEAF moduli; an inner node is
+    the list [P_lo, lo, P_hi, hi] of each half's product and subtree."""
+    if len(mods) <= TREE_LEAF:
+        return mods
+    h = len(mods) // 2
+    lo, hi = mods[:h], mods[h:]
+    return [math.prod(lo), _product_tree(lo), math.prod(hi), _product_tree(hi)]
+
+
+def _tree_reduce(x, node, out):
+    """Append x mod m for every modulus under node, in order."""
+    if type(node) is tuple:
+        out += [x % m for m in node]
+        return
+    p_lo, lo, p_hi, hi = node
+    _tree_reduce(x % p_lo, lo, out)
+    _tree_reduce(x % p_hi, hi, out)
 
 
 class NaiveModulo(WordModBackend):

@@ -28,10 +28,11 @@ PAIR22 = ExtensionPair(SRC2, DST2)
 
 
 def test_pair_tables():
-    # the mixed-radix weights m_0*...*m_{i-1}, unreduced
-    assert PAIR22.weights == (1, 251)
+    # Szabo-Tanaka sums against the source base's mixed-radix weights
+    # m_0*...*m_{i-1}, unreduced
+    assert PAIR22.src.weights == (1, 251)
     src3 = build_base((251, 247, 241), 8)
-    assert ExtensionPair(src3, DST2).weights == (1, 251, 251 * 247)
+    assert ExtensionPair(src3, DST2).src.weights == (1, 251, 251 * 247)
 
 
 def test_pair_rejects_shared_factor():

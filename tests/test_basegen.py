@@ -76,9 +76,10 @@ def test_tables_satisfy_congruences():
     base = build_pm_base(8, 32)
     for i, m in enumerate(base.moduli):
         assert base.inv_Mi[i] * ((base.M // m) % m) % m == 1
-    for i in range(base.n):
-        for j in range(i + 1, base.n):
-            assert base.mrs_inv[i][j - i - 1] * base.moduli[i] % base.moduli[j] == 1
+    # Garner's constants: W_i = m_0*...*m_{i-1} and W_i * winv_i = 1 mod m_i
+    for i, m in enumerate(base.moduli):
+        assert base.weights[i] == math.prod(base.moduli[:i])
+        assert base.weights[i] * base.winv[i] % m == 1
 
 
 def test_dynamic_range_of_generated_bases():

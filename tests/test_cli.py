@@ -267,6 +267,7 @@ def test_bench_repeated_model_and_preset_write_one_row(tmp_path):
         {"models": ("x",)},
         {"channels": ()},
         {"w": 4},
+        {"channels": (2,), "backends": ("inst",), "moduli_pool": (3, 5, 7, 11)},
     ],
 )
 def test_bench_config_rejects_bad_values_at_construction(kwargs):
@@ -316,3 +317,18 @@ def test_bench_base_file_pm_needs_pseudo_mersenne_pool(tmp_path, capsys):
     args = ["bench", "--base", str(base_path), "--backend", "inst", "--out", str(out)]
     assert main(args) == 0
     assert {r["backend"] for r in read_rows(io.StringIO(out.read_text()))} == {"inst"}
+
+
+def test_bench_base_file_pool_too_small_for_modulus(tmp_path, capsys):
+    """A pool whose products cannot hold the sweep's p is a usage error
+    before any output file exists, naming the bits on both sides."""
+    base_path = tmp_path / "pool.txt"
+    base_path.write_text("64 4\n3\n5\n7\n11\n")
+    out = tmp_path / "x.csv"
+    args = ["bench", "--base", str(base_path), "--backend", "inst", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "modulus of 118 bits" in err and "pool gives 5" in err
+    assert list(tmp_path.iterdir()) == [base_path]

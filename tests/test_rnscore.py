@@ -58,6 +58,25 @@ def test_mrs_round_trip_and_digit_bounds():
         assert mrs_value(d) == x
 
 
+def test_mrs_round_trip_n64():
+    """to_mrs -> mrs_value at n=64, w=64 on 0, M-1 and random values, on
+    every kind; the digits stay canonical."""
+    import random
+
+    from rnsmul.basegen import build_pm_base
+    from rnsmul.wordmod import BACKEND_KINDS
+
+    base = build_pm_base(64, 64)
+    rng = random.Random(43)
+    values = [0, base.M - 1] + [rng.randrange(base.M) for _ in range(8)]
+    for kind in BACKEND_KINDS:
+        be = make_backend(kind, 64)
+        for x in values:
+            d = to_mrs(to_rns(x, base), be)
+            assert all(di < m for di, m in zip(d.digits, base.moduli))
+            assert mrs_value(d) == x, (kind, x)
+
+
 def test_mrs_value_extremes():
     from rnsmul.rnscore import MrsDigits
 

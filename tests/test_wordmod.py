@@ -1,10 +1,12 @@
 """Backend value agreement against the plain remainder oracle, counter
 accounting, and input validation."""
 
+import math
 import random
 
 import pytest
 
+from rnsmul.basegen import build_base
 from rnsmul.wordmod import (
     BACKEND_KINDS,
     InstructionSim,
@@ -248,6 +250,20 @@ def test_dot_mod_matches_op_chain():
         assert fused.read_counters() == chained.read_counters()
 
 
+def dot_chain(be, values, consts, mods, k=None, M=0):
+    """The per-channel redmod/mulmod/addmod chain dot_mods stands for,
+    followed by submod(., mulmod(redmod(k), M mod m)) when k is given."""
+    out = []
+    for m in mods:
+        acc = be.mulmod(be.redmod(values[0], m), consts[0] % m, m)
+        for v, c in zip(values[1:], consts[1:]):
+            acc = be.addmod(acc, be.mulmod(be.redmod(v, m), c % m, m), m)
+        if k is not None:
+            acc = be.submod(acc, be.mulmod(be.redmod(k, m), M % m, m), m)
+        out.append(acc)
+    return out
+
+
 def test_dot_mods_matches_per_channel_op_chain():
     """The multi-channel kernel, one big-integer sum reduced per channel,
     must equal the per-channel redmod/mulmod/addmod chain followed by
@@ -267,17 +283,7 @@ def test_dot_mods_matches_per_channel_op_chain():
             fused = make_backend(kind, 64)
             chained = make_backend(kind, 64)
             got = fused.dot_mods(values, consts, dst.moduli, k, M)
-            want = []
-            for m in dst.moduli:
-                acc = chained.mulmod(chained.redmod(values[0], m), consts[0] % m, m)
-                for v, c in zip(values[1:], consts[1:]):
-                    acc = chained.addmod(
-                        acc, chained.mulmod(chained.redmod(v, m), c % m, m), m
-                    )
-                if k is not None:
-                    kM = chained.mulmod(chained.redmod(k, m), M % m, m)
-                    acc = chained.submod(acc, kM, m)
-                want.append(acc)
+            want = dot_chain(chained, values, consts, dst.moduli, k, M)
             assert got == want, (kind, k)
             assert fused.read_counters() == chained.read_counters(), (kind, k)
         # k keeps redmod's contract: a w-bit word
@@ -285,31 +291,94 @@ def test_dot_mods_matches_per_channel_op_chain():
             make_backend(kind, 64).dot_mods(values, consts, dst.moduli, 1 << 64, M)
 
 
-def test_submul_matches_op_chain():
-    from rnsmul.basegen import build_pm_base
+@pytest.mark.parametrize("n", [5, 9, 64])
+def test_dot_mods_remainder_tree_matches_op_chain(n):
+    """Above TREE_LEAF destination channels dot_mods reduces through its
+    remainder tree; each channel must still equal the op chain, for a
+    positive sum and for a negative sum - k*M, on every kind."""
+    from rnsmul.basegen import RnsBase, generate_pm_moduli
+    from rnsmul.wordmod import TREE_LEAF
 
-    rng = random.Random(31)
-    base = build_pm_base(6, 64)
-    mods = base.moduli
+    assert n > TREE_LEAF
+    rng = random.Random(41 + n)
+    pool = [pm.m for pm in generate_pm_moduli(2 * n, 64)]
+    src, dst = RnsBase(pool[0::2], 64), RnsBase(pool[1::2], 64)
+    values = [rng.randrange(m) for m in src.moduli]
+    values[0] = src.moduli[0] - 1
+    total = sum(v * c for v, c in zip(values, src.Mi))
+    top_k = (1 << 64) - 1
+    assert total > 0 and total - top_k * src.M < 0
     for kind in BACKEND_KINDS:
         fused = make_backend(kind, 64)
         chained = make_backend(kind, 64)
-        d = rng.getrandbits(64)
-        rs = [rng.randrange(m) for m in mods]
-        invs = [rng.randrange(1, m) for m in mods]
-        got = fused.submul(d, rs, invs, mods)
-        want = [
-            chained.mulmod(chained.submod(r, chained.redmod(d, m), m), inv, m)
-            for r, inv, m in zip(rs, invs, mods)
+        # the second call on the same moduli tuple reads the cached tree
+        for k in (None, top_k):
+            got = fused.dot_mods(values, src.Mi, dst.moduli, k, src.M)
+            want = dot_chain(chained, values, src.Mi, dst.moduli, k, src.M)
+            assert got == want, (kind, k)
+        assert fused.read_counters() == chained.read_counters(), kind
+
+
+def elimination_chain(be, values, mods):
+    """Successive elimination op by op: for each digit i, every later
+    channel j becomes (x_j - red(d_i)) * m_i^-1 mod m_j."""
+    work = list(values)
+    for i, mi in enumerate(mods):
+        for j in range(i + 1, len(mods)):
+            mj = mods[j]
+            diff = be.submod(work[j], be.redmod(work[i], mj), mj)
+            work[j] = be.mulmod(diff, pow(mi, -1, mj), mj)
+    return work
+
+
+def coprime_pool(rng, n, w):
+    """n pairwise-coprime random w-bit moduli, none of pseudo-Mersenne form."""
+    pool, M = [], 1
+    while len(pool) < n:
+        m = rng.randrange(3, 1 << w)
+        c = (1 << w) - m
+        pseudo_mersenne = c % 2 == 1 and c < 1 << (w // 2)
+        if not pseudo_mersenne and math.gcd(m, M) == 1:
+            pool.append(m)
+            M *= m
+    return pool
+
+
+def test_mrs_digits_matches_op_chain():
+    """Garner's form must equal the op-by-op elimination chain, in digits
+    and in counters: pseudo-Mersenne bases on every kind, random coprime
+    non-pseudo-Mersenne bases on modulo and inst."""
+    from rnsmul.basegen import RnsBase, build_pm_base
+
+    rng = random.Random(31)
+    cases = [(build_pm_base(n, 64), tuple(BACKEND_KINDS)) for n in (5, 8, 17, 64)]
+    cases += [
+        (RnsBase(coprime_pool(rng, n, w), w), ("modulo", "inst"))
+        for n, w in ((5, 8), (9, 31), (17, 64))
+    ]
+    for base, kinds in cases:
+        mods = base.moduli
+        inputs = [
+            [0] * base.n,
+            [m - 1 for m in mods],
+            [rng.randrange(m) for m in mods],
+            [rng.randrange(m) for m in mods],
         ]
-        assert got == want
-        assert fused.read_counters() == chained.read_counters()
+        for kind in kinds:
+            fused = make_backend(kind, base.w)
+            chained = make_backend(kind, base.w)
+            for values in inputs:
+                got = fused.mrs_digits(values, mods, base.winv, base.weights)
+                assert got == elimination_chain(chained, values, mods), (kind, base)
+            assert fused.read_counters() == chained.read_counters(), (kind, base)
 
 
 def test_cost_table_pins_per_op_and_kernel_deltas():
-    """One call's counter delta per kind and op, and the dot_mod/submul
-    closed forms at k=5, as literal numbers."""
+    """One call's counter delta per kind and op, and the closed forms of
+    dot_mod at k=5 terms and of mrs_digits on k=5 channels (t = k(k-1)/2
+    elimination steps), as literal numbers."""
     k = 5
+    t = k * (k - 1) // 2
     want = {
         "modulo": {
             "addmod": {"word_add": 1, "div_mod": 1},
@@ -317,7 +386,7 @@ def test_cost_table_pins_per_op_and_kernel_deltas():
             "mulmod": {"word_mul": 1, "div_mod": 1},
             "redmod": {"div_mod": 1},
             "dot_mod": {"word_mul": k, "word_add": k - 1, "div_mod": 3 * k - 1},
-            "submul": {"word_mul": k, "word_add": k, "word_sub": k, "div_mod": 3 * k},
+            "mrs_digits": {"word_mul": t, "word_add": t, "word_sub": t, "div_mod": 3 * t},
         },
         "pm": {
             "addmod": {"word_add": 1, "word_sub": 1},
@@ -326,8 +395,8 @@ def test_cost_table_pins_per_op_and_kernel_deltas():
             "redmod": {"word_sub": 1},
             "dot_mod": {"word_mul": 4 * k, "shift": 3 * k, "mask": 3 * k,
                         "word_add": 4 * k - 1, "word_sub": 3 * k - 1},
-            "submul": {"word_mul": 4 * k, "shift": 3 * k, "mask": 3 * k,
-                       "word_add": 4 * k, "word_sub": 3 * k},
+            "mrs_digits": {"word_mul": 4 * t, "shift": 3 * t, "mask": 3 * t,
+                           "word_add": 4 * t, "word_sub": 3 * t},
         },
         "inst": {
             "addmod": {"modadd": 1},
@@ -335,17 +404,19 @@ def test_cost_table_pins_per_op_and_kernel_deltas():
             "mulmod": {"modmul": 1},
             "redmod": {"modadd": 1},
             "dot_mod": {"modadd": 2 * k - 1, "modmul": k},
-            "submul": {"modadd": k, "modsub": k, "modmul": k},
+            "mrs_digits": {"modadd": t, "modsub": t, "modmul": t},
         },
     }
-    mods = W8_PM_MODULI
+    base = build_base(W8_PM_MODULI, 8)
     calls = {
         "addmod": lambda be: be.addmod(200, 100, 251),
         "submod": lambda be: be.submod(10, 200, 251),
         "mulmod": lambda be: be.mulmod(250, 250, 251),
         "redmod": lambda be: be.redmod(254, 251),
         "dot_mod": lambda be: be.dot_mods([255, 7, 0, 128, 251], [1, 2, 3, 4, 5], (251,))[0],
-        "submul": lambda be: be.submul(254, [1, 2, 3, 4, 5], [6, 7, 8, 9, 10], mods),
+        "mrs_digits": lambda be: be.mrs_digits(
+            [254, 1, 2, 3, 4], base.moduli, base.winv, base.weights
+        ),
     }
     for kind, rows in want.items():
         for op, row in rows.items():
