@@ -27,8 +27,8 @@ from .wordmod import WordModBackend
 class ExtensionPair:
     """A checked pair of bases for extending from src to dst.
 
-    Holds no table: Szabo-Tanaka sums its digits against src.weights, the
-    CRT-based extensions against src.Mi.
+    Holds no table: Szabo-Tanaka reduces the value its mixed-radix chain
+    ends with, the CRT-based extensions sum against src.Mi.
     """
 
     def __init__(self, src: RnsBase, dst: RnsBase):
@@ -140,14 +140,16 @@ def compute_k_hat(x: RnsInt, params: KawamuraParams, backend: WordModBackend) ->
 
 
 # -- vector cores (shared with the Montgomery hot path) ----------------------
-# Each ends in one backend.dot_mods: sum_i xi_i*(M/m_i) - k*M per destination
-# channel (Bajard-Imbert passes no k and keeps the excess), or for
-# Szabo-Tanaka the mixed-radix digits against their weights.
+# Each ends in one reduction into the destination base, counted as dot_mod
+# chains: of sum_i xi_i*(M/m_i) - k*M (Bajard-Imbert passes no k and keeps
+# the excess), or for Szabo-Tanaka of the value its mixed-radix chain holds.
 
 
 def st_extend_vec(values, pair: ExtensionPair, backend: WordModBackend) -> List[int]:
-    digits = mrs_digits_vec(values, pair.src, backend)
-    return backend.dot_mods(digits, pair.src.weights, pair.dst.moduli)
+    src, dst = pair.src, pair.dst
+    _, x = mrs_digits_vec(values, src, backend)
+    backend.count_dot_mods(src.n, dst.n)
+    return dst.residues(x)
 
 
 def kawamura_extend_vec(
@@ -156,12 +158,12 @@ def kawamura_extend_vec(
     src = pair.src
     xi = _xi_vec(values, src, backend)
     k = _k_accumulate(xi, params, backend)
-    return backend.dot_mods(xi, src.Mi, pair.dst.moduli, k, src.M)
+    return backend.dot_mods(xi, src.Mi, pair.dst, k, src.M)
 
 
 def bajard_imbert_vec(values, pair: ExtensionPair, backend: WordModBackend) -> List[int]:
     src = pair.src
-    return backend.dot_mods(_xi_vec(values, src, backend), src.Mi, pair.dst.moduli)
+    return backend.dot_mods(_xi_vec(values, src, backend), src.Mi, pair.dst)
 
 
 # -- public operations --------------------------------------------------------
@@ -223,7 +225,7 @@ def extend_shenoy_kumaresan(
         raise ValueError(f"x_e={x_e} is not a residue mod {m_e}")
     src = pair.src
     xi = _xi_vec(x.residues, src, backend)
-    (sum_e,) = backend.dot_mods(xi, src.Mi, (m_e,))
+    sum_e = backend.dot_mod(xi, src.Mi, m_e)
     k = backend.mulmod(backend.submod(sum_e, x_e, m_e), m_inv_e, m_e)
     dst = pair.dst
-    return RnsInt(tuple(backend.dot_mods(xi, src.Mi, dst.moduli, k, src.M)), dst)
+    return RnsInt(tuple(backend.dot_mods(xi, src.Mi, dst, k, src.M)), dst)

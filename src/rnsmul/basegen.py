@@ -3,7 +3,7 @@
 A base is an ordered set of pairwise-coprime w-bit moduli together with
 every table the conversions and extensions need.  Tables are computed with
 arbitrary-precision arithmetic once: the CRT constants at construction, the
-mixed-radix and pseudo-Mersenne tables on first read.
+mixed-radix, pseudo-Mersenne and remainder-tree tables on first read.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from operator import mul
 from typing import IO, Iterable, List, Sequence
 
 from .wordmod import PmModulus, check_width, pm_modulus
+
+TREE_LEAF = 4  # channels a remainder-tree leaf reduces with one % each
 
 
 def generate_pm_moduli(n: int, w: int) -> List[PmModulus]:
@@ -57,6 +59,8 @@ class RnsBase:
                    built on first read.
         pm_moduli: the channels as PmModulus, built on first read; raises
                    if a channel is not pseudo-Mersenne at w.
+        tree:      the remainder tree of the moduli (Bernstein 2008),
+                   built on first read; ``residues`` reduces through it.
 
     Immutable after construction; safe to share between threads.  A
     table built on first read is deterministic, so a race can at most
@@ -102,8 +106,37 @@ class RnsBase:
     def pm_moduli(self) -> tuple:
         return tuple(pm_modulus(m, self.w) for m in self.moduli)
 
+    @cached_property
+    def tree(self):
+        return _product_tree(self.moduli)
+
+    def residues(self, x: int) -> list:
+        """x mod every modulus, in channel order: x is reduced modulo the
+        product of each half of the channels, recursively, down to leaves
+        of at most TREE_LEAF channels that take one % each (so a base that
+        small takes the plain % loop)."""
+        return _tree_reduce(x, self.tree)
+
     def __repr__(self):
         return f"RnsBase(n={self.n}, w={self.w}, moduli={list(self.moduli)})"
+
+
+def _product_tree(mods):
+    """A leaf is the tuple of at most TREE_LEAF moduli; an inner node is
+    the list [P_lo, lo, P_hi, hi] of each half's product and subtree."""
+    if len(mods) <= TREE_LEAF:
+        return mods
+    h = len(mods) // 2
+    lo, hi = mods[:h], mods[h:]
+    return [math.prod(lo), _product_tree(lo), math.prod(hi), _product_tree(hi)]
+
+
+def _tree_reduce(x, node):
+    """x mod m for every modulus under node, in order."""
+    if type(node) is tuple:
+        return [x % m for m in node]
+    p_lo, lo, p_hi, hi = node
+    return _tree_reduce(x % p_lo, lo) + _tree_reduce(x % p_hi, hi)
 
 
 def build_base(moduli: Iterable[int], w: int) -> RnsBase:

@@ -7,6 +7,7 @@ import csv
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, List, Optional, Sequence, Tuple
 
 from .basegen import RnsBase, generate_pm_moduli, split_bases
@@ -78,6 +79,14 @@ class BenchConfig:
         self.models = tuple(dict.fromkeys(self.models))
         self.presets = tuple(dict.fromkeys(self.presets))
 
+    @cached_property
+    def pool(self) -> Tuple[int, ...]:
+        """moduli_pool, or one prefix-stable sieve of 2*max(channels)
+        moduli on first read; each n splits the first 2n."""
+        return self.moduli_pool or tuple(
+            pm.m for pm in generate_pm_moduli(2 * max(self.channels), self.w)
+        )
+
 
 def modulus_bits(n: int, w: int) -> int:
     """Bit length of the sweep's modulus p: n*w - 2*bits(n+2) - 4 leaves
@@ -121,11 +130,7 @@ def measure_counters(cfg: BenchConfig) -> List[Tuple[int, str, str, object]]:
     (n, backend, variant).  Deterministic in cfg.seed."""
     out = []
     for n in cfg.channels:
-        if cfg.moduli_pool is not None:
-            pool = list(cfg.moduli_pool)
-        else:
-            pool = [pm.m for pm in generate_pm_moduli(2 * n, cfg.w)]
-        bm, bmp = split_bases(pool, cfg.w)
+        bm, bmp = split_bases(cfg.pool[: 2 * n], cfg.w)
         p = pick_modulus(n, cfg.w, random.Random(f"{cfg.seed}:p:{n}"), bm, bmp)
         contexts = {}  # drops the previous n's contexts before building these
         for variant in cfg.variants:

@@ -174,10 +174,12 @@ def cmd_bench(args) -> int:
         args.usage_error(str(exc))  # exits 2 before --out is opened
     out = Path(args.out)
     ratios_path = out.with_name(out.stem + "_ratios" + (out.suffix or ".csv"))
-    # both outputs are opened before the sweep, so a bad path fails fast
+    # sieve before any output exists (an exhausted sieve leaves no file) and
+    # open both outputs before the sweep (a bad path fails fast)
     try:
+        cfg.pool  # ValueError: sieve exhausted
         with open(out, "w") as fp, open(ratios_path, "w") as ratios_fp:
-            reports, ratios = bench.run_sweep(cfg)  # ValueError: e.g. sieve exhausted
+            reports, ratios = bench.run_sweep(cfg)
             bench.write_rows(reports, fp)
             bench.write_ratios(ratios, ratios_fp)
     except (OSError, ValueError) as exc:

@@ -81,11 +81,12 @@ class MontgomeryContext:
         self._check_sizing()
         self.fwd = ExtensionPair(bm, bmp)
         self.bwd = ExtensionPair(bmp, bm)
-        self.neg_p_inv_bm = tuple(
-            (m - pow(p, -1, m)) % m for m in bm.moduli
-        )
-        self.p_bmp = tuple(p % m for m in bmp.moduli)
-        self.m_inv_bmp = tuple(pow(bm.M % m, -1, m) for m in bmp.moduli)
+        # p and M reach the channels through the bases' remainder trees
+        p_bm = bm.residues(p)
+        self.neg_p_inv_bm = tuple(-pow(r, -1, m) % m for r, m in zip(p_bm, bm.moduli))
+        self.p_bmp = tuple(bmp.residues(p))
+        m_bmp = bmp.residues(bm.M)
+        self.m_inv_bmp = tuple(pow(r, -1, m) for r, m in zip(m_bmp, bmp.moduli))
 
     def _check_sizing(self):
         p, bm, bmp, n = self.p, self.bm, self.bmp, self.n

@@ -29,12 +29,12 @@ class MrsDigits(NamedTuple):
 
 
 def to_rns(x: int, base: RnsBase) -> RnsInt:
-    """Forward conversion: one remainder per channel."""
+    """Forward conversion: one remainder per channel (RnsBase.residues)."""
     if not 0 <= x < base.M:
         raise ValueError(
             f"value {x} outside dynamic range [0, {base.M}) of the base"
         )
-    return RnsInt(tuple(x % m for m in base.moduli), base)
+    return RnsInt(tuple(base.residues(x)), base)
 
 
 def from_rns_crt(x: RnsInt) -> int:
@@ -50,21 +50,18 @@ def from_rns_crt(x: RnsInt) -> int:
     return acc % base.M
 
 
-def mrs_digits_vec(values, base: RnsBase, backend: WordModBackend) -> list:
-    """Mixed-radix digits of a residue vector (list form).
-
-    A sequential chain over the digits in Garner's form: digit i is
-    (x_i - X mod m_i) * W_i^-1 mod m_i, where X is the value of digits
-    0..i-1 and W_i = m_0*...*m_{i-1}.  It equals the residue successive
-    elimination leaves in channel i, and is counted as that chain:
-    n(n-1)/2 each of redmod, submod and mulmod.
-    """
+def mrs_digits_vec(values, base: RnsBase, backend: WordModBackend) -> tuple:
+    """Mixed-radix digits of a residue vector (list form) and their value
+    sum_i d_i*W_i, from the backend's kernel: a sequential chain in
+    Garner's form, counted as the elimination chain it equals
+    (WordModBackend.mrs_digits)."""
     return backend.mrs_digits(values, base.moduli, base.winv, base.weights)
 
 
 def to_mrs(x: RnsInt, backend: WordModBackend) -> MrsDigits:
     backend.check_base(x.base)
-    return MrsDigits(tuple(mrs_digits_vec(x.residues, x.base, backend)), x.base)
+    digits, _ = mrs_digits_vec(x.residues, x.base, backend)
+    return MrsDigits(tuple(digits), x.base)
 
 
 def mrs_value(d: MrsDigits) -> int:

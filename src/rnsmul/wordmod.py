@@ -16,19 +16,16 @@ folding reduction whose op stream the "pm" row of "mul" counts.
 
 Two multi-channel kernels carry the base extensions; each computes on
 Python integers and counts the op chain it stands for.  ``dot_mods`` builds
-sum_i x_i * C_i - k*M once and reduces it per destination channel through
-a remainder tree: the sum is reduced modulo the product of each half of the
-channels, recursively, down to leaves of at most ``TREE_LEAF`` channels
-that take one ``%`` each.  ``mrs_digits`` is Garner's form of the
-mixed-radix elimination chain: digit i is (x_i - X mod m_i) * W_i^-1 mod m_i,
-with X the value of the digits so far and W_i = m_0 * ... * m_{i-1}.
-Backends own mutable counters and a small cache of remainder trees, so one
-instance must not be shared between threads.
+sum_i x_i * C_i - k*M once and reduces it into every channel of the
+destination base through the base's remainder tree (``RnsBase.residues``).
+``mrs_digits`` is Garner's form of the mixed-radix elimination chain: digit
+i is (x_i - X mod m_i) * W_i^-1 mod m_i, with X the value of the digits so
+far and W_i = m_0 * ... * m_{i-1}.  Backends own mutable counters and
+nothing else, so one instance must not be shared between threads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import mul as _mul
@@ -36,8 +33,6 @@ from typing import NamedTuple
 
 MIN_WIDTH = 8
 MAX_WIDTH = 64
-TREE_LEAF = 4  # channels a remainder-tree leaf reduces with one % each
-TREES_KEPT = 8  # remainder trees a backend caches before it starts over
 
 
 def check_width(w: int) -> int:
@@ -156,8 +151,6 @@ class WordModBackend:
             for i, op in enumerate(OPS)
             for name, delta in self.COSTS[self.kind][op].items()
         ]
-        # id(mods) -> (mods, remainder tree); holding mods keeps its id unique
-        self._trees = {}
         self.reset_counters()
 
     # -- validation helpers ------------------------------------------------
@@ -243,50 +236,37 @@ class WordModBackend:
         self.n_sub += len(mods)
         return [(x - y) % m for x, y, m in zip(xs, ys, mods)]
 
-    def dot_mods(self, values, consts, mods, k=None, M=0):
-        """Per channel j: sum_i red(values[i]) * consts[i] - k*M mod mods[j].
-
-        Counted as one dot_mod per channel plus, when a quotient k is given,
-        redmod(k), a mulmod by M and a submod.  The value is built once as
-        the big integer sum_i values[i] * consts[i] - k*M and reduced per
-        channel through the remainder tree of mods; each term is congruent
-        to its op-chain counterpart, so the residues are bit-identical.  k
-        keeps redmod's contract: a w-bit word.
-        """
-        c = len(mods)
+    def count_dot_mods(self, n, c, k=None):
+        """Count c dot_mod chains of n terms: per channel n redmod, n mulmod
+        and n-1 addmod, plus, when a quotient k is given, redmod(k), a
+        mulmod by M and a submod.  k keeps redmod's contract: a w-bit word."""
         if k is not None:
             if not 0 <= k < (1 << self.width):
                 raise ValueError(f"redmod operand {k} exceeds {self.width} bits")
             self.n_red += c
             self.n_mul += c
             self.n_sub += c
-        n = len(values)
         self.n_red += n * c
         self.n_mul += n * c
         self.n_add += max(n - 1, 0) * c
-        x = sum(map(_mul, values, consts))
-        if k:
-            x -= k * M
-        if c <= TREE_LEAF:  # the whole tree is one leaf; nothing to cache
-            return [x % m for m in mods]
-        out = []
-        _tree_reduce(x, self._tree(mods), out)
-        return out
 
-    def _tree(self, mods):
-        """The remainder tree of mods, cached by identity so that a call
-        hashes no moduli tuple; a base's moduli tuple is one object."""
-        hit = self._trees.get(id(mods))
-        if hit is not None and hit[0] is mods:
-            return hit[1]
-        if len(self._trees) >= TREES_KEPT:
-            self._trees.clear()
-        tree = _product_tree(tuple(mods))
-        self._trees[id(mods)] = (mods, tree)
-        return tree
+    def dot_mod(self, values, consts, m):
+        """sum_i red(values[i]) * consts[i] mod m: one channel of dot_mods."""
+        self.count_dot_mods(len(values), 1)
+        return sum(map(_mul, values, consts)) % m
+
+    def dot_mods(self, values, consts, dst, k=None, M=0):
+        """Per channel j of base dst: sum_i red(values[i]) * consts[i] - k*M
+        mod m_j, counted by count_dot_mods.  The big integer sum - k*M is
+        built once and reduced by dst.residues; each term is congruent to
+        its op-chain counterpart, so the residues are bit-identical."""
+        self.count_dot_mods(len(values), dst.n, k)
+        x = sum(map(_mul, values, consts))
+        return dst.residues(x - k * M if k else x)
 
     def mrs_digits(self, values, mods, winvs, weights):
-        """Mixed-radix digits of the residues values, in Garner's form.
+        """Mixed-radix digits of the residues values, in Garner's form, and
+        their value X = sum_i d_i * weights[i].
 
         Digit i is d_i = (values[i] - X mod m_i) * winvs[i] mod m_i with
         X = sum_{j<i} d_j * weights[j], weights[j] = m_0 * ... * m_{j-1} and
@@ -308,27 +288,7 @@ class WordModBackend:
             d = (values[i] - x % m) * winvs[i] % m
             digits.append(d)
             x += d * weights[i]
-        return digits
-
-
-def _product_tree(mods):
-    """A leaf is the tuple of at most TREE_LEAF moduli; an inner node is
-    the list [P_lo, lo, P_hi, hi] of each half's product and subtree."""
-    if len(mods) <= TREE_LEAF:
-        return mods
-    h = len(mods) // 2
-    lo, hi = mods[:h], mods[h:]
-    return [math.prod(lo), _product_tree(lo), math.prod(hi), _product_tree(hi)]
-
-
-def _tree_reduce(x, node, out):
-    """Append x mod m for every modulus under node, in order."""
-    if type(node) is tuple:
-        out += [x % m for m in node]
-        return
-    p_lo, lo, p_hi, hi = node
-    _tree_reduce(x % p_lo, lo, out)
-    _tree_reduce(x % p_hi, hi, out)
+        return digits, x
 
 
 class NaiveModulo(WordModBackend):

@@ -2,10 +2,12 @@
 
 import io
 import math
+import random
 
 import pytest
 
 from rnsmul.basegen import (
+    TREE_LEAF,
     RnsBase,
     build_base,
     build_pm_base,
@@ -49,6 +51,30 @@ def test_sieve_pairwise_coprime():
         for m in range(ms[0] - 2, ms[-1], -2):
             if m not in ms:
                 assert any(math.gcd(m, k) != 1 for k in ms if k > m), m
+
+
+@pytest.mark.parametrize("w", [64, 16])
+def test_sieve_is_prefix_stable(w):
+    """A sweep sieves 2*max(n) moduli once and gives each n its first 2n:
+    the greedy sieve of 2n moduli is that prefix."""
+    channels = tuple(range(8, 65, 8)) if w == 64 else tuple(range(2, 21, 2))
+    top = generate_pm_moduli(2 * max(channels), w)
+    for n in channels:
+        assert generate_pm_moduli(2 * n, w) == top[: 2 * n], n
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 9, 64])
+def test_residues_match_plain_remainder(n):
+    """RnsBase.residues, through the remainder tree above TREE_LEAF channels
+    and the plain % at or below it, against one % per channel."""
+    base = build_pm_base(n, 64)
+    assert (base.n > TREE_LEAF) == (type(base.tree) is list)
+    rng = random.Random(53 + n)
+    xs = [0, 1, base.M - 1, base.moduli[-1], *(rng.randrange(base.M) for _ in range(20))]
+    # at or above M, as reducing another base's M needs
+    xs += [base.M, base.M * base.moduli[0] + 12345, rng.getrandbits(3 * 64 * n)]
+    for x in xs:
+        assert base.residues(x) == [x % m for m in base.moduli], x
 
 
 def test_build_base_357():

@@ -207,6 +207,38 @@ def test_bench_sieve_exhausted(tmp_path, capsys):
     assert main(["bench", "-w", "8", "--channels", "8", "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exhausted" in err and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "x_ratios.csv").exists()
+
+
+def test_bench_sieves_once_per_sweep(monkeypatch):
+    import rnsmul.bench
+
+    calls = []
+    sieve = rnsmul.bench.generate_pm_moduli
+
+    def counted(n, w):
+        calls.append((n, w))
+        return sieve(n, w)
+
+    monkeypatch.setattr(rnsmul.bench, "generate_pm_moduli", counted)
+    cfg = BenchConfig(channels=(2, 6, 4), backends=("inst",), variants=("k",))
+    assert len(measure_counters(cfg)) == 3
+    assert calls == [(12, 64)]
+
+
+def test_bench_base_pool_bypasses_sieve(tmp_path, monkeypatch):
+    import rnsmul.bench
+
+    base_path = tmp_path / "pool.txt"
+    assert main(["gen-base", "-n", "8", "-w", "64", "-o", str(base_path)]) == 0
+
+    def no_sieve(n, w):
+        raise AssertionError("the sweep sieved although --base gave its pool")
+
+    monkeypatch.setattr(rnsmul.bench, "generate_pm_moduli", no_sieve)
+    args = ["--base", str(base_path), "--backend", "inst", "--variant", "k"]
+    assert main(["bench", *args, "--out", str(tmp_path / "x.csv")]) == 0
 
 
 def test_bench_unwritable_out_fails_before_sweep(tmp_path, capsys, monkeypatch):

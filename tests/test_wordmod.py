@@ -240,7 +240,7 @@ def test_dot_mod_matches_op_chain():
         chained = make_backend(kind, 64)
         for m in base.moduli:
             col = [rng.randrange(m) for _ in src_words]
-            got = fused.dot_mods(src_words, col, (m,))[0]
+            got = fused.dot_mod(src_words, col, m)
             acc = chained.mulmod(chained.redmod(src_words[0], m), col[0], m)
             for v, t in zip(src_words[1:], col[1:]):
                 acc = chained.addmod(
@@ -282,22 +282,21 @@ def test_dot_mods_matches_per_channel_op_chain():
         for k in (None, 0, src.n, top_k):
             fused = make_backend(kind, 64)
             chained = make_backend(kind, 64)
-            got = fused.dot_mods(values, consts, dst.moduli, k, M)
+            got = fused.dot_mods(values, consts, dst, k, M)
             want = dot_chain(chained, values, consts, dst.moduli, k, M)
             assert got == want, (kind, k)
             assert fused.read_counters() == chained.read_counters(), (kind, k)
         # k keeps redmod's contract: a w-bit word
         with pytest.raises(ValueError, match="exceeds 64 bits"):
-            make_backend(kind, 64).dot_mods(values, consts, dst.moduli, 1 << 64, M)
+            make_backend(kind, 64).dot_mods(values, consts, dst, 1 << 64, M)
 
 
 @pytest.mark.parametrize("n", [5, 9, 64])
 def test_dot_mods_remainder_tree_matches_op_chain(n):
-    """Above TREE_LEAF destination channels dot_mods reduces through its
-    remainder tree; each channel must still equal the op chain, for a
-    positive sum and for a negative sum - k*M, on every kind."""
-    from rnsmul.basegen import RnsBase, generate_pm_moduli
-    from rnsmul.wordmod import TREE_LEAF
+    """Above TREE_LEAF destination channels dot_mods reduces through the
+    destination base's remainder tree; each channel must still equal the op
+    chain, for a positive sum and for a negative sum - k*M, on every kind."""
+    from rnsmul.basegen import TREE_LEAF, RnsBase, generate_pm_moduli
 
     assert n > TREE_LEAF
     rng = random.Random(41 + n)
@@ -311,12 +310,31 @@ def test_dot_mods_remainder_tree_matches_op_chain(n):
     for kind in BACKEND_KINDS:
         fused = make_backend(kind, 64)
         chained = make_backend(kind, 64)
-        # the second call on the same moduli tuple reads the cached tree
+        # the second call reads the tree the first built on dst
         for k in (None, top_k):
-            got = fused.dot_mods(values, src.Mi, dst.moduli, k, src.M)
+            got = fused.dot_mods(values, src.Mi, dst, k, src.M)
             want = dot_chain(chained, values, src.Mi, dst.moduli, k, src.M)
             assert got == want, (kind, k)
         assert fused.read_counters() == chained.read_counters(), kind
+
+
+def test_dot_mods_share_the_base_tree():
+    """The destination base builds its remainder tree on the first
+    reduction and every backend reduces through that one object; a backend
+    holds its counters and nothing else."""
+    from rnsmul.basegen import RnsBase, generate_pm_moduli
+
+    pool = [pm.m for pm in generate_pm_moduli(18, 64)]
+    src, dst = RnsBase(pool[0::2], 64), RnsBase(pool[1::2], 64)
+    values = [m // 3 for m in src.moduli]
+    first, second = make_backend("inst", 64), make_backend("modulo", 64)
+    assert "tree" not in vars(dst)
+    got = first.dot_mods(values, src.Mi, dst)
+    tree = vars(dst)["tree"]
+    assert second.dot_mods(values, src.Mi, dst) == got
+    assert dst.tree is tree
+    for be in (first, second):
+        assert set(vars(be)) == {"width", "_terms", "raw", "n_add", "n_sub", "n_mul", "n_red"}
 
 
 def elimination_chain(be, values, mods):
@@ -368,8 +386,9 @@ def test_mrs_digits_matches_op_chain():
             fused = make_backend(kind, base.w)
             chained = make_backend(kind, base.w)
             for values in inputs:
-                got = fused.mrs_digits(values, mods, base.winv, base.weights)
+                got, x = fused.mrs_digits(values, mods, base.winv, base.weights)
                 assert got == elimination_chain(chained, values, mods), (kind, base)
+                assert x == sum(d * W for d, W in zip(got, base.weights))
             assert fused.read_counters() == chained.read_counters(), (kind, base)
 
 
@@ -413,7 +432,7 @@ def test_cost_table_pins_per_op_and_kernel_deltas():
         "submod": lambda be: be.submod(10, 200, 251),
         "mulmod": lambda be: be.mulmod(250, 250, 251),
         "redmod": lambda be: be.redmod(254, 251),
-        "dot_mod": lambda be: be.dot_mods([255, 7, 0, 128, 251], [1, 2, 3, 4, 5], (251,))[0],
+        "dot_mod": lambda be: be.dot_mod([255, 7, 0, 128, 251], [1, 2, 3, 4, 5], 251),
         "mrs_digits": lambda be: be.mrs_digits(
             [254, 1, 2, 3, 4], base.moduli, base.winv, base.weights
         ),
