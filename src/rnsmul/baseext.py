@@ -108,41 +108,41 @@ def _xi_vec(values, base: RnsBase, backend: WordModBackend) -> list:
     return backend.vec_mul(values, base.inv_Mi, base)
 
 
-def _k_accumulate(xi, params: KawamuraParams, backend: WordModBackend) -> int:
-    """Count the carries of the fixed-point rower accumulator.
-
-    sigma starts at alpha_fp; each channel adds the top q bits of xi_i;
-    every overflow past 2^q is one unit of k.  Plain integer-unit work:
-    two shifts, two adds and one mask per channel, ticked as raw counts.
-    """
-    q = params.q
-    sh = params.base.w - q
-    qmask = (1 << q) - 1
+def count_rower(backend: WordModBackend, n: int) -> None:
+    """Count the rower accumulator over n channels: plain integer-unit
+    work, two shifts, two adds and one mask per channel, ticked as raw."""
     cnt = backend.raw
-    n = len(xi)
     cnt.shift += 2 * n
     cnt.word_add += 2 * n
     cnt.mask += n
-    sigma = params.alpha_fp
-    k = 0
-    for x in xi:
-        sigma += x >> sh
-        k += sigma >> q
-        sigma &= qmask
-    return k
+
+
+def rower_estimate(xi, params: KawamuraParams) -> int:
+    """The k estimate: the carries of the fixed-point rower accumulator.
+
+    sigma starts at alpha_fp; each channel adds the top q bits of xi_i;
+    every overflow past 2^q is one unit of k and is masked off.  Carries
+    and the q-bit remainder always hold the running sum, so k is that sum
+    shifted down by q once.  Counted by count_rower.
+    """
+    sh = params.base.w - params.q
+    return (params.alpha_fp + sum([x >> sh for x in xi])) >> params.q
 
 
 def compute_k_hat(x: RnsInt, params: KawamuraParams, backend: WordModBackend) -> int:
     """Estimated CRT quotient of x; exact when value(x) < (1-alpha)*M."""
     params.check(x.base)
     xi = _xi_vec(x.residues, x.base, backend)
-    return _k_accumulate(xi, params, backend)
+    count_rower(backend, len(xi))
+    return rower_estimate(xi, params)
 
 
-# -- vector cores (shared with the Montgomery hot path) ----------------------
-# Each ends in one reduction into the destination base, counted as dot_mod
-# chains: of sum_i xi_i*(M/m_i) - k*M (Bajard-Imbert passes no k and keeps
-# the excess), or for Szabo-Tanaka of the value its mixed-radix chain holds.
+# -- vector cores: the op-by-op reference path ------------------------------
+# Each counts as it computes and ends in one reduction into the destination
+# base, counted as dot_mod chains: of sum_i xi_i*(M/m_i) - k*M (Bajard-Imbert
+# passes no k and keeps the excess), or for Szabo-Tanaka of the value its
+# mixed-radix chain holds.  modmul.mont_mul merges these stages into fused
+# value passes and charges their counts from a per-context table instead.
 
 
 def st_extend_vec(values, pair: ExtensionPair, backend: WordModBackend) -> List[int]:
@@ -157,7 +157,8 @@ def kawamura_extend_vec(
 ) -> List[int]:
     src = pair.src
     xi = _xi_vec(values, src, backend)
-    k = _k_accumulate(xi, params, backend)
+    count_rower(backend, len(xi))
+    k = rower_estimate(xi, params)
     return backend.dot_mods(xi, src.Mi, pair.dst, k, src.M)
 
 

@@ -57,6 +57,8 @@ class RnsBase:
                    built on first read.
         winv:      W_i^-1 mod m_i per channel (Garner's digit constants),
                    built on first read.
+        idempotents: the CRT idempotents Mi*inv_Mi, 1 mod m_i and 0 mod
+                   every other channel, built on first read.
         pm_moduli: the channels as PmModulus, built on first read; raises
                    if a channel is not pseudo-Mersenne at w.
         tree:      the remainder tree of the moduli (Bernstein 2008),
@@ -101,6 +103,10 @@ class RnsBase:
     @cached_property
     def winv(self) -> tuple:
         return tuple([pow(W % m, -1, m) for W, m in zip(self.weights, self.moduli)])
+
+    @cached_property
+    def idempotents(self) -> tuple:
+        return tuple(map(mul, self.Mi, self.inv_Mi))
 
     @cached_property
     def pm_moduli(self) -> tuple:

@@ -10,21 +10,24 @@ the approximate first extension leaves an excess of up to (n-1)*M on the
 quotient, which the sizing rules M > (n+2)^2 * p and M' > 2*(n+2)*p absorb,
 keeping the bound closed under iteration and the Kawamura step inside its
 alpha = 1/2 exactness window.
+
+``mont_mul`` separates the count from the value.  Its counters depend on
+the context and the backend kind only, so they are counted once into a
+charge table (``MontgomeryContext.charges``) and charged on every call; its
+values run in merged passes, the channel constants folded together as in
+the Cox-Rower design (Kawamura et al., EUROCRYPT 2000) and Bajard-Imbert
+(IEEE TC 2004).  The op-by-op ``baseext.extend_*`` are the reference.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .basegen import generate_pm_moduli, split_bases
-from .baseext import (
-    ExtensionPair,
-    KawamuraParams,
-    bajard_imbert_vec,
-    kawamura_extend_vec,
-    st_extend_vec,
-)
+from .baseext import ExtensionPair, KawamuraParams, count_rower, rower_estimate
 from .oracle import check_mont
 from .rnscore import RnsInt, from_rns_crt, to_rns
 from .wordmod import WordModBackend
@@ -47,14 +50,35 @@ class MontPair(NamedTuple):
     in_bmp: RnsInt
 
 
+@lru_cache(maxsize=1)
+def _channel_tables(p, bm, bmp) -> dict:
+    """The tables every variant's context on (p, bm, bmp) shares (a base
+    hashes by identity): the extension pairs, the op-by-op constants -p^-1
+    on Bm, p and M^-1 on Bm', and the fused c_i = -p^-1*(M/m_i)^-1 on Bm
+    and p*M^-1 on Bm'."""
+    neg_p_inv = [-pow(r, -1, m) % m for r, m in zip(bm.residues(p), bm.moduli)]
+    p_bmp = bmp.residues(p)
+    m_inv = [pow(r, -1, m) for r, m in zip(bmp.residues(bm.M), bmp.moduli)]
+    return dict(
+        fwd=ExtensionPair(bm, bmp),
+        bwd=ExtensionPair(bmp, bm),
+        neg_p_inv_bm=tuple(neg_p_inv),
+        p_bmp=tuple(p_bmp),
+        m_inv_bmp=tuple(m_inv),
+        c_bm=tuple([a * b % m for a, b, m in zip(neg_p_inv, bm.inv_Mi, bm.moduli)]),
+        pm_inv_bmp=tuple([a * b % m for a, b, m in zip(p_bmp, m_inv, bmp.moduli)]),
+    )
+
+
 class MontgomeryContext:
     """Bases, precomputed channel constants and sizing data for one modulus.
 
     The one place a context is checked and completed: p must be odd and
     >= 3, the variant name goes through VARIANT_ALIASES, omitted Kawamura
     parameters are derived for bmp, and given ones must have been built
-    for bmp.  Immutable after construction; pass a per-thread backend to
-    mont_mul.
+    for bmp.  The charge tables are filled on first use per backend kind
+    and width and are deterministic, so a race can at most build one
+    twice; pass a per-thread backend to mont_mul.
     """
 
     def __init__(self, p, bm, bmp, variant=VARIANT_KAWAMURA, kparams=None):
@@ -79,14 +103,31 @@ class MontgomeryContext:
         self.kparams = kparams
         self.bound = (self.n + 2) * p
         self._check_sizing()
-        self.fwd = ExtensionPair(bm, bmp)
-        self.bwd = ExtensionPair(bmp, bm)
-        # p and M reach the channels through the bases' remainder trees
-        p_bm = bm.residues(p)
-        self.neg_p_inv_bm = tuple(-pow(r, -1, m) % m for r, m in zip(p_bm, bm.moduli))
-        self.p_bmp = tuple(bmp.residues(p))
-        m_bmp = bmp.residues(bm.M)
-        self.m_inv_bmp = tuple(pow(r, -1, m) for r, m in zip(m_bmp, bmp.moduli))
+        vars(self).update(_channel_tables(p, bm, bmp))
+        self._charges = {}
+
+    def charges(self, backend: WordModBackend) -> tuple:
+        """The counters one mont_mul ticks on backend's kind and width, as
+        the op-by-op path counts them, counted once on a fresh backend after
+        backend.check_base passes on both bases (a failure caches nothing)."""
+        key = (type(backend), backend.width)
+        if key not in self._charges:
+            backend.check_base(self.bm)
+            backend.check_base(self.bmp)
+            n, n2, cnt = self.n, self.bmp.n, type(backend)(backend.width)
+            # x*y on both bases, -p^-1 and xi on Bm, p and M^-1 on Bm', an add
+            cnt.n_mul += 3 * n + 3 * n2
+            cnt.n_add += n2
+            cnt.count_dot_mods(n, n2)  # Bajard-Imbert
+            if self.variant == VARIANT_KAWAMURA:
+                cnt.n_mul += n2  # xi on Bm'
+                count_rower(cnt, n2)
+                cnt.count_dot_mods(n2, n, 0)
+            else:
+                cnt.count_mrs_chain(n2)
+                cnt.count_dot_mods(n2, n)
+            self._charges[key] = cnt.tally()
+        return self._charges[key]
 
     def _check_sizing(self):
         p, bm, bmp, n = self.p, self.bm, self.bmp, self.n
@@ -147,29 +188,43 @@ def mont_mul(
     """One Montgomery product: result value is x*y*M^-1 mod p up to a
     multiple of p, below (n+2)*p, represented on both bases.
 
-    check=True re-reads every contract through oracle.check_mont
-    (congruence, bound, both halves agreeing, Kawamura window); it is for
-    tests only and changes nothing about the computation.
+    On Bm, xi_i = x_i*y_i*c_i; t = sum_i xi_i*M/m_i on Bm' keeps the
+    Bajard-Imbert excess; on Bm', w_j = x'_j*y'_j*M^-1 + t_j*p*M^-1 and
+    xi'_j = w_j*(M'/m'_j)^-1; back on Bm, sum_j xi'_j*M'/m'_j less k*M',
+    with k from the rower accumulator (Kawamura) or exact (Szabo-Tanaka).
+
+    mont_pair and mont_mul are the only producers of valid pairs; a pair
+    whose halves disagree gives a wrong product that only check=True
+    names.  check=True re-reads every contract through oracle.check_mont;
+    it is for tests only and changes nothing about the computation.
     """
     bm, bmp = ctx.bm, ctx.bmp
     if not (
         x.in_bm.base is y.in_bm.base is bm and x.in_bmp.base is y.in_bmp.base is bmp
     ):
         raise ValueError("operand does not live on the context's bases")
-    s_m = backend.vec_mul(x.in_bm.residues, y.in_bm.residues, bm)
-    s_mp = backend.vec_mul(x.in_bmp.residues, y.in_bmp.residues, bmp)
-    t = backend.vec_mul(s_m, ctx.neg_p_inv_bm, bm)
-    t_ext = bajard_imbert_vec(t, ctx.fwd, backend)
-    u = backend.vec_mul(t_ext, ctx.p_bmp, bmp)
-    v = backend.vec_add(s_mp, u, bmp)
-    w_mp = backend.vec_mul(v, ctx.m_inv_bmp, bmp)
+    table = ctx.charges(backend)
+    mods = bm.moduli
+    xi = [
+        a * b * c % m
+        for a, b, c, m in zip(x.in_bm.residues, y.in_bm.residues, ctx.c_bm, mods)
+    ]
+    t = bmp.residues(sum(map(mul, xi, bm.Mi)))
+    mods = bmp.moduli
+    w = [
+        (a * b * c + tj * d) % m
+        for a, b, tj, c, d, m in zip(
+            x.in_bmp.residues, y.in_bmp.residues, t, ctx.m_inv_bmp, ctx.pm_inv_bmp, mods
+        )
+    ]
+    xi = [v * c % m for v, c, m in zip(w, bmp.inv_Mi, mods)]
+    s = sum(map(mul, xi, bmp.Mi))
     if ctx.variant == VARIANT_KAWAMURA:
-        w_m = kawamura_extend_vec(w_mp, ctx.bwd, ctx.kparams, backend)
+        s -= rower_estimate(xi, ctx.kparams) * bmp.M
     else:
-        w_m = st_extend_vec(w_mp, ctx.bwd, backend)
-    result = MontPair(
-        RnsInt(tuple(w_m), bm), RnsInt(tuple(w_mp), bmp)
-    )
+        s %= bmp.M
+    backend.charge(table)
+    result = MontPair(RnsInt(tuple(bm.residues(s)), bm), RnsInt(tuple(w), bmp))
     if check:
         check_mont(ctx, x, y, result)
     return result

@@ -39,10 +39,15 @@ def crt_quotient(residues, moduli) -> int:
 
 def check_mont(ctx, x, y, z) -> None:
     """Raise AssertionError unless z = mont_mul(ctx, x, y) keeps every
-    contract: both halves agree, the value is below the bound, the Bm' half
-    lies inside the Kawamura window M'/2, and the value is congruent to
-    x*y*M^-1 mod p."""
+    contract: the halves of each operand agree, both halves of z agree,
+    the value is below the bound, the Bm' half lies inside the Kawamura
+    window M'/2, and the value is congruent to x*y*M^-1 mod p."""
     bm, bmp = ctx.bm.moduli, ctx.bmp.moduli
+    xv = crt_value(x.in_bm.residues, bm)
+    yv = crt_value(y.in_bm.residues, bm)
+    for name, v, half in (("x", xv, x.in_bmp), ("y", yv, y.in_bmp)):
+        if v != crt_value(half.residues, bmp):
+            raise AssertionError(f"operand halves disagree: {name} is not a valid pair")
     zv = crt_value(z.in_bm.residues, bm)
     zv_mp = crt_value(z.in_bmp.residues, bmp)
     if zv != zv_mp:
@@ -53,7 +58,5 @@ def check_mont(ctx, x, y, z) -> None:
         raise AssertionError(
             "step-7 operand left the Kawamura exactness window M'/2"
         )
-    xv = crt_value(x.in_bm.residues, bm)
-    yv = crt_value(y.in_bm.residues, bm)
     if zv % ctx.p != xv * yv * pow(math.prod(bm), -1, ctx.p) % ctx.p:
         raise AssertionError("result incongruent to x*y*M^-1 mod p")

@@ -8,6 +8,7 @@ integers and counts the w-bit word ops of the elimination chain.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from .basegen import RnsBase
@@ -38,16 +39,11 @@ def to_rns(x: int, base: RnsBase) -> RnsInt:
 
 
 def from_rns_crt(x: RnsInt) -> int:
-    """Backward conversion via the CRT sum, reduced mod M.
-
-    Computes sum_i |x_i * (M/m_i)^-1|_{m_i} * (M/m_i), then one reduction
-    realizes the k*M subtraction.  Arbitrary precision; off the hot path.
-    """
+    """Backward conversion via the CRT sum in one pass: sum_i x_i*e_i mod M
+    with the base's idempotents e_i = (M/m_i)*|(M/m_i)^-1|_{m_i}.
+    Arbitrary precision; off the hot path."""
     base = x.base
-    acc = 0
-    for r, inv, m, mi in zip(x.residues, base.inv_Mi, base.moduli, base.Mi):
-        acc += (r * inv % m) * mi
-    return acc % base.M
+    return sum(map(mul, x.residues, base.idempotents)) % base.M
 
 
 def mrs_digits_vec(values, base: RnsBase, backend: WordModBackend) -> tuple:

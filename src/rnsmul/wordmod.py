@@ -114,6 +114,8 @@ class WordModBackend:
     op-by-op chain.  ``counters`` is derived on each read as the raw ticks
     plus every event times its ``COSTS`` row; work that is no modular op
     (pm_reduce's folds, the Kawamura accumulator) ticks ``raw`` directly.
+    ``tally`` reads the events and raw ticks of a fixed op sequence counted
+    on a scratch backend, and ``charge`` adds them to another in one step.
     """
 
     # kind -> op class -> counter deltas of one op
@@ -219,6 +221,23 @@ class WordModBackend:
     def read_counters(self) -> OpCounters:
         return self.counters
 
+    def tally(self) -> tuple:
+        """Everything counted so far as a table for ``charge``: the four
+        event counts and the nonzero raw ticks."""
+        raw = tuple((k, v) for k, v in vars(self.raw).items() if v)
+        return self.n_add, self.n_sub, self.n_mul, self.n_red, raw
+
+    def charge(self, table) -> None:
+        """Count at once the op sequence another backend's ``tally`` holds."""
+        add, sub, mul, red, raw = table
+        self.n_add += add
+        self.n_sub += sub
+        self.n_mul += mul
+        self.n_red += red
+        cnt = self.raw
+        for name, delta in raw:
+            setattr(cnt, name, getattr(cnt, name) + delta)
+
     # -- vector kernels (channel-parallel fast paths) ------------------------
 
     def vec_mul(self, xs, ys, base):
@@ -264,6 +283,14 @@ class WordModBackend:
         x = sum(map(_mul, values, consts))
         return dst.residues(x - k * M if k else x)
 
+    def count_mrs_chain(self, n):
+        """Count the mixed-radix elimination chain on n channels: n(n-1)/2
+        each of redmod, submod and mulmod."""
+        steps = n * (n - 1) // 2
+        self.n_red += steps
+        self.n_sub += steps
+        self.n_mul += steps
+
     def mrs_digits(self, values, mods, winvs, weights):
         """Mixed-radix digits of the residues values, in Garner's form, and
         their value X = sum_i d_i * weights[i].
@@ -274,13 +301,10 @@ class WordModBackend:
         (x_i - sum_{j<i} d_j W_j) * W_i^-1 mod m_i in channel i after i
         steps, which is the same residue, so the digits are bit-identical
         to the chain's; digit 0 is values[0] as the chain leaves it.
-        Counted as the chain: n(n-1)/2 each of redmod, submod and mulmod.
+        Counted as the chain (count_mrs_chain).
         """
         n = len(values)
-        steps = n * (n - 1) // 2
-        self.n_red += steps
-        self.n_sub += steps
-        self.n_mul += steps
+        self.count_mrs_chain(n)
         x = values[0]
         digits = [x]
         for i in range(1, n):

@@ -1,15 +1,26 @@
 """Montgomery pipeline: context sizing, domain entry/exit, congruence and
 bound preservation, tiny-scale exhaustive sweeps."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from rnsmul import wordmod
 from rnsmul.basegen import RnsBase, generate_pm_moduli
-from rnsmul.baseext import KawamuraParams
+from rnsmul.baseext import (
+    KawamuraParams,
+    extend_bajard_imbert,
+    extend_kawamura,
+    extend_szabo_tanaka,
+)
+from rnsmul.bench import pick_modulus
 from rnsmul.modmul import (
+    VARIANTS,
     MontgomeryContext,
+    MontPair,
     context_new,
     from_mont,
     mont_exp,
@@ -17,8 +28,10 @@ from rnsmul.modmul import (
     mont_pair,
     to_mont,
 )
-from rnsmul.rnscore import from_rns_crt
+from rnsmul.rnscore import RnsInt, from_rns_crt, rns_elementwise
 from rnsmul.wordmod import BACKEND_KINDS, make_backend
+
+PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
 
 CTX97 = context_new(97, 2, 8, "kawamura")
 CTX97_ST = context_new(97, 2, 8, "st")
@@ -70,6 +83,10 @@ def test_precomputed_residues():
     for j, m in enumerate(CTX97.bmp.moduli):
         assert CTX97.p_bmp[j] == p % m
         assert CTX97.m_inv_bmp[j] * (CTX97.bm.M % m) % m == 1
+        assert CTX97.pm_inv_bmp[j] * (CTX97.bm.M % m) % m == p % m
+    for i, m in enumerate(CTX97.bm.moduli):
+        # c_i = -(p * M/m_i)^-1 mod m_i, the two Bm scalings merged
+        assert CTX97.c_bm[i] * p * (CTX97.bm.M // m) % m == m - 1
 
 
 def test_to_mont_examples():
@@ -267,8 +284,123 @@ def test_constructor_rejects_even_or_small_p():
 def test_mont_mul_rejects_backend_of_another_width(kind):
     ctx = context_new(1_000_003, 2, 64, "st")
     x = to_mont(ctx, 5)
-    with pytest.raises(ValueError, match="base has w=64, backend expects w=8"):
-        mont_mul(ctx, x, x, make_backend(kind, 8))
+    for _ in range(2):  # a failed check leaves no charge table behind
+        with pytest.raises(ValueError, match="base has w=64, backend expects w=8"):
+            mont_mul(ctx, x, x, make_backend(kind, 8))
+
+
+def test_mont_mul_rejects_pm_backend_on_other_moduli():
+    pool, prod = [], 1
+    for m in range(65001, 60000, -2):  # c = 2^16 - m >= 2^8: not PM form
+        if math.gcd(m, prod) == 1:
+            pool.append(m)
+            prod *= m
+        if len(pool) == 4:
+            break
+    bm, bmp = RnsBase(pool[0::2], 16), RnsBase(pool[1::2], 16)
+    for variant in VARIANTS:
+        ctx = MontgomeryContext(1_000_003, bm, bmp, variant)
+        x = to_mont(ctx, 5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not pseudo-Mersenne"):
+                mont_mul(ctx, x, x, make_backend("pm", 16))
+        z = mont_mul(ctx, x, x, make_backend("modulo", 16), check=True)
+        assert from_mont(ctx, z, make_backend("inst", 16)) == 25
+
+
+def test_check_names_a_mismatched_pair():
+    be = make_backend("inst", 8)
+    for ctx in (CTX97, CTX97_ST):
+        x = mont_pair(ctx, 10)
+        bad = MontPair(x.in_bm, mont_pair(ctx, 11).in_bmp)
+        for a, b in ((bad, x), (x, bad)):
+            with pytest.raises(AssertionError, match="operand halves disagree"):
+                mont_mul(ctx, a, b, be, check=True)
+
+
+def test_mont_mul_makes_no_backend(monkeypatch):
+    be = make_backend("pm", 16)
+    ctx = context_new(1_000_003, 4, 16, "kawamura")
+    x = to_mont(ctx, 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mont_mul built a backend through a factory name")
+
+    monkeypatch.setattr(wordmod, "make_backend", refuse)
+    monkeypatch.setattr(wordmod, "PseudoMersenne", refuse)
+    for _ in range(2):
+        mont_mul(ctx, x, x, be, check=True)
+
+
+# -- fused passes against the op-by-op reference ------------------------------
+
+
+def _op_by_op(ctx, x, y, be):
+    """mont_mul's stages one op at a time through the public kernels."""
+    bm, bmp = ctx.bm, ctx.bmp
+    s_m = rns_elementwise("mul", x.in_bm, y.in_bm, be)
+    s_mp = rns_elementwise("mul", x.in_bmp, y.in_bmp, be)
+    t = rns_elementwise("mul", s_m, RnsInt(ctx.neg_p_inv_bm, bm), be)
+    t_ext = extend_bajard_imbert(t, ctx.fwd, be)
+    u = rns_elementwise("mul", t_ext, RnsInt(ctx.p_bmp, bmp), be)
+    v = rns_elementwise("add", s_mp, u, be)
+    w = rns_elementwise("mul", v, RnsInt(ctx.m_inv_bmp, bmp), be)
+    if ctx.variant == "kawamura":
+        return MontPair(extend_kawamura(w, ctx.bwd, ctx.kparams, be), w)
+    return MontPair(extend_szabo_tanaka(w, ctx.bwd, be), w)
+
+
+FUSED_CASES = (
+    [(n, n, w) for w in (16, 64) for n in (2, 3, 5, 8)]
+    + [(64, 64, 64)]  # w=16 has 42 pseudo-Mersenne moduli, too few for n=64
+    + [(a, b, w) for w in (16, 64) for a, b in ((5, 3), (3, 5))]
+)
+
+
+@pytest.mark.parametrize("n, n2, w", FUSED_CASES)
+def test_fused_matches_op_by_op(n, n2, w):
+    """Same residues and the same counters as the reference composition,
+    for every kind and variant, on equal and unequal bases."""
+    pool = [pm.m for pm in generate_pm_moduli(n + n2, w)]
+    if n == n2:
+        bm, bmp = RnsBase(pool[0::2], w), RnsBase(pool[1::2], w)
+    else:
+        bm, bmp = RnsBase(pool[:n], w), RnsBase(pool[n:], w)
+    rng = random.Random(f"{n}:{n2}:{w}")
+    limit = min(bm.M // (n + 2) ** 2, bmp.M // (2 * (n + 2)))
+    p = 0
+    while math.gcd(p, bm.M * bmp.M) != 1:
+        p = rng.randrange(limit // 2, limit - 1) | 1
+    for variant in VARIANTS:
+        ctx = MontgomeryContext(p, bm, bmp, variant)
+        for kind in BACKEND_KINDS:
+            fused, ref = make_backend(kind, w), make_backend(kind, w)
+            for _ in range(4):
+                x = mont_pair(ctx, rng.randrange(ctx.bound))
+                y = mont_pair(ctx, rng.randrange(ctx.bound))
+                assert mont_mul(ctx, x, y, fused) == _op_by_op(ctx, x, y, ref)
+            assert fused.read_counters() == ref.read_counters(), (kind, variant)
+
+
+@pytest.mark.parametrize("n", (8, 64))
+def test_counters_match_the_pins(n):
+    """One call ticks exactly the pinned row of perfbench/pins.json, and
+    every further call the same row again."""
+    pins = json.loads(PINS.read_text())["counters"][str(n)]
+    pool = [pm.m for pm in generate_pm_moduli(2 * n, 64)]
+    bm, bmp = RnsBase(pool[0::2], 64), RnsBase(pool[1::2], 64)
+    p = pick_modulus(n, 64, random.Random(n), bm, bmp)
+    for variant in VARIANTS:
+        ctx = MontgomeryContext(p, bm, bmp, variant)
+        x, y = to_mont(ctx, 3), to_mont(ctx, 5)
+        for kind in BACKEND_KINDS:
+            be = make_backend(kind, 64)
+            for calls in (1, 2, 3):
+                mont_mul(ctx, x, y, be)
+                row = pins[f"{kind}.{variant}"]
+                assert be.read_counters().as_dict() == {
+                    k: calls * v for k, v in row.items()
+                }, (kind, variant, calls)
 
 
 def test_mont_mul_rejects_operands_of_another_context():

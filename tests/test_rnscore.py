@@ -1,9 +1,11 @@
 """Conversions and channel arithmetic on tiny bases, checked exhaustively
 against plain big-integer remainders."""
 
+import random
+
 import pytest
 
-from rnsmul.basegen import build_base
+from rnsmul.basegen import build_base, build_pm_base
 from rnsmul.rnscore import (
     from_rns_crt,
     mrs_value,
@@ -33,6 +35,14 @@ def test_to_rns_rejects_alias():
 def test_crt_round_trip_exhaustive():
     for x in range(BASE357.M):
         assert from_rns_crt(to_rns(x, BASE357)) == x
+
+
+@pytest.mark.parametrize("n", (2, 5, 64))
+def test_crt_round_trip_edges(n):
+    base = build_pm_base(n, 64)
+    rng = random.Random(n)
+    for x in (0, 1, base.M - 1, *(rng.randrange(base.M) for _ in range(100))):
+        assert from_rns_crt(to_rns(x, base)) == x
 
 
 def test_crt_examples():
