@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import List
 
 from .basegen import RnsBase
@@ -104,8 +105,20 @@ class KawamuraParams:
 
 
 def _xi_vec(values, base: RnsBase, backend: WordModBackend) -> list:
-    """xi_i = x_i * (M/m_i)^-1 mod m_i, the CRT summand coefficients."""
-    return backend.vec_mul(values, base.inv_Mi, base)
+    """xi_i = x_i * (M/m_i)^-1 mod m_i, the CRT summand coefficients;
+    counted as one mulmod per channel."""
+    mods = backend.check_base(base)
+    backend.n_mul += len(mods)
+    return [x * c % m for x, c, m in zip(values, base.inv_Mi, mods)]
+
+
+def crt_residues(xi, src: RnsBase, dst: RnsBase, k: int = 0) -> list:
+    """dst.residues(sum_i xi_i*(M/m_i) - k*M) over src: the CRT sum every
+    correction-based extension ends in, built once as a big integer.  The
+    residues equal the per-channel op chain's, which the caller counts
+    through ``WordModBackend.count_dot_mods``."""
+    x = sum(map(mul, xi, src.Mi))
+    return dst.residues(x - k * src.M if k else x)
 
 
 def count_rower(backend: WordModBackend, n: int) -> None:
@@ -139,10 +152,10 @@ def compute_k_hat(x: RnsInt, params: KawamuraParams, backend: WordModBackend) ->
 
 # -- vector cores: the op-by-op reference path ------------------------------
 # Each counts as it computes and ends in one reduction into the destination
-# base, counted as dot_mod chains: of sum_i xi_i*(M/m_i) - k*M (Bajard-Imbert
-# passes no k and keeps the excess), or for Szabo-Tanaka of the value its
-# mixed-radix chain holds.  modmul.mont_mul merges these stages into fused
-# value passes and charges their counts from a per-context table instead.
+# base, counted as dot_mod chains: crt_residues of sum_i xi_i*(M/m_i) - k*M
+# (Bajard-Imbert passes no k and keeps the excess), or for Szabo-Tanaka the
+# value its mixed-radix chain holds.  modmul.mont_mul merges these stages
+# into fused value passes and charges their counts from a per-context table.
 
 
 def st_extend_vec(values, pair: ExtensionPair, backend: WordModBackend) -> List[int]:
@@ -159,12 +172,15 @@ def kawamura_extend_vec(
     xi = _xi_vec(values, src, backend)
     count_rower(backend, len(xi))
     k = rower_estimate(xi, params)
-    return backend.dot_mods(xi, src.Mi, pair.dst, k, src.M)
+    backend.count_dot_mods(src.n, pair.dst.n, k)
+    return crt_residues(xi, src, pair.dst, k)
 
 
 def bajard_imbert_vec(values, pair: ExtensionPair, backend: WordModBackend) -> List[int]:
-    src = pair.src
-    return backend.dot_mods(_xi_vec(values, src, backend), src.Mi, pair.dst)
+    src, dst = pair.src, pair.dst
+    xi = _xi_vec(values, src, backend)
+    backend.count_dot_mods(src.n, dst.n)
+    return crt_residues(xi, src, dst)
 
 
 # -- public operations --------------------------------------------------------
@@ -226,7 +242,9 @@ def extend_shenoy_kumaresan(
         raise ValueError(f"x_e={x_e} is not a residue mod {m_e}")
     src = pair.src
     xi = _xi_vec(x.residues, src, backend)
-    sum_e = backend.dot_mod(xi, src.Mi, m_e)
+    backend.count_dot_mods(src.n, 1)
+    sum_e = sum(map(mul, xi, src.Mi)) % m_e
     k = backend.mulmod(backend.submod(sum_e, x_e, m_e), m_inv_e, m_e)
     dst = pair.dst
-    return RnsInt(tuple(backend.dot_mods(xi, src.Mi, dst, k, src.M)), dst)
+    backend.count_dot_mods(src.n, dst.n, k)
+    return RnsInt(tuple(crt_residues(xi, src, dst, k)), dst)

@@ -12,7 +12,8 @@ from typing import IO, List, Optional, Sequence, Tuple
 
 from .basegen import RnsBase, generate_pm_moduli, split_bases
 from .costmodel import MODELS, PRESETS, CostReport, class_counts, estimate, ratio_report
-from .modmul import VARIANT_ALIASES, VARIANTS, MontgomeryContext, mont_mul, mont_pair
+from .modmul import VARIANT_ALIASES, VARIANTS, MontgomeryContext, mont_mul
+from .modmul import range_needs, to_mont
 from .wordmod import BACKEND_KINDS, check_width, make_backend, pm_modulus
 
 CSV_HEADER = (
@@ -37,7 +38,6 @@ class BenchConfig:
     models: Tuple[str, ...] = MODELS
     presets: Tuple[str, ...] = tuple(PRESETS)
     seed: int = 1
-    repetitions: int = 1
     moduli_pool: Optional[Tuple[int, ...]] = None  # overrides the sieve
 
     def __post_init__(self):
@@ -65,8 +65,6 @@ class BenchConfig:
                     raise ValueError(
                         f"unknown {what} {name!r}, expected one of {sorted(known)}"
                     )
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions {self.repetitions} must be >= 1")
         if pool is not None:
             if "pm" in self.backends:
                 # the pm backend takes pseudo-Mersenne moduli only
@@ -99,11 +97,9 @@ def modulus_bits(n: int, w: int) -> int:
 
 def check_pool_range(pool: Sequence[int], n: int, w: int) -> None:
     """That the two bases split from pool hold every p pick_modulus can
-    draw: M > (n+2)^2*p and M' > 2(n+2)*p for all p below 2^bits."""
+    draw: modmul.range_needs for all p below 2^bits."""
     bits = modulus_bits(n, w)
-    p_max = (1 << bits) - 1
-    need_m = (n + 2) * (n + 2) * p_max
-    need_mp = 2 * (n + 2) * p_max
+    need_m, need_mp = range_needs(n, (1 << bits) - 1)
     M, Mp = math.prod(pool[0::2]), math.prod(pool[1::2])
     if M <= need_m or Mp <= need_mp:
         raise ValueError(
@@ -127,23 +123,21 @@ def pick_modulus(n: int, w: int, rng: random.Random, bm: RnsBase, bmp: RnsBase) 
 
 def measure_counters(cfg: BenchConfig) -> List[Tuple[int, str, str, object]]:
     """Run the sweep and collect one counter snapshot per
-    (n, backend, variant).  Deterministic in cfg.seed."""
+    (n, backend, variant), each of one mont_mul.  Deterministic in
+    cfg.seed."""
     out = []
     for n in cfg.channels:
         bm, bmp = split_bases(cfg.pool[: 2 * n], cfg.w)
         p = pick_modulus(n, cfg.w, random.Random(f"{cfg.seed}:p:{n}"), bm, bmp)
         contexts = {}  # drops the previous n's contexts before building these
         for variant in cfg.variants:
-            contexts[variant] = MontgomeryContext(p, bm, bmp, variant)
+            ctx = MontgomeryContext(p, bm, bmp, variant)
+            # counters do not depend on the data: one operand, 1 in the domain
+            contexts[variant] = ctx, to_mont(ctx, 1)
         for kind in cfg.backends:
-            for variant in cfg.variants:
-                ctx = contexts[variant]
+            for variant, (ctx, x) in contexts.items():
                 backend = make_backend(kind, cfg.w)
-                rng = random.Random(f"{cfg.seed}:{n}:{kind}:{variant}")
-                for _ in range(cfg.repetitions):
-                    x = mont_pair(ctx, rng.randrange(ctx.bound))
-                    y = mont_pair(ctx, rng.randrange(ctx.bound))
-                    mont_mul(ctx, x, y, backend)
+                mont_mul(ctx, x, x, backend)
                 out.append((n, kind, variant, backend.read_counters()))
     return out
 

@@ -87,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--model", type=_csv_names(MODELS), default=MODELS)
     b.add_argument("--preset", type=_csv_names(tuple(PRESETS)), default=tuple(PRESETS))
     b.add_argument("--seed", type=int, default=1)
-    b.add_argument("--repetitions", type=int, default=1)
     b.add_argument("--base", default=None, help="take moduli from a base file")
     b.add_argument("--out", required=True, help="CSV output path")
 
@@ -167,7 +166,6 @@ def cmd_bench(args) -> int:
             models=args.model,
             presets=args.preset,
             seed=args.seed,
-            repetitions=args.repetitions,
             moduli_pool=moduli_pool,
         )
     except ValueError as exc:

@@ -27,7 +27,8 @@ from operator import mul
 from typing import NamedTuple
 
 from .basegen import generate_pm_moduli, split_bases
-from .baseext import ExtensionPair, KawamuraParams, count_rower, rower_estimate
+from .baseext import ExtensionPair, KawamuraParams, count_rower, crt_residues
+from .baseext import rower_estimate
 from .oracle import check_mont
 from .rnscore import RnsInt, from_rns_crt, to_rns
 from .wordmod import WordModBackend
@@ -137,8 +138,7 @@ class MontgomeryContext:
         ):
             if g != 1:
                 raise ValueError(f"{name} share factor {g}")
-        need_m = (n + 2) * (n + 2) * p
-        need_mp = 2 * (n + 2) * p
+        need_m, need_mp = range_needs(n, p)
         if bm.M <= need_m or bmp.M <= need_mp:
             raise ValueError(
                 f"dynamic range too small for p of {p.bit_length()} bits: "
@@ -146,6 +146,12 @@ class MontgomeryContext:
                 f"{bm.M.bit_length()}) and M' > 2(n+2)*p "
                 f"({need_mp.bit_length()} bits, have {bmp.M.bit_length()})"
             )
+
+
+def range_needs(n: int, p: int) -> tuple:
+    """The sizing rule: the bounds M > (n+2)^2*p and M' > 2(n+2)*p that
+    the two base products of an n-channel context for p must exceed."""
+    return (n + 2) * (n + 2) * p, 2 * (n + 2) * p
 
 
 def context_new(
@@ -209,7 +215,7 @@ def mont_mul(
         a * b * c % m
         for a, b, c, m in zip(x.in_bm.residues, y.in_bm.residues, ctx.c_bm, mods)
     ]
-    t = bmp.residues(sum(map(mul, xi, bm.Mi)))
+    t = crt_residues(xi, bm, bmp)
     mods = bmp.moduli
     w = [
         (a * b * c + tj * d) % m
@@ -218,13 +224,12 @@ def mont_mul(
         )
     ]
     xi = [v * c % m for v, c, m in zip(w, bmp.inv_Mi, mods)]
-    s = sum(map(mul, xi, bmp.Mi))
     if ctx.variant == VARIANT_KAWAMURA:
-        s -= rower_estimate(xi, ctx.kparams) * bmp.M
+        z = crt_residues(xi, bmp, bm, rower_estimate(xi, ctx.kparams))
     else:
-        s %= bmp.M
+        z = bm.residues(sum(map(mul, xi, bmp.Mi)) % bmp.M)
     backend.charge(table)
-    result = MontPair(RnsInt(tuple(bm.residues(s)), bm), RnsInt(tuple(w), bmp))
+    result = MontPair(RnsInt(tuple(z), bm), RnsInt(tuple(w), bmp))
     if check:
         check_mont(ctx, x, y, result)
     return result

@@ -1,14 +1,14 @@
 """RNS representation, conversions (CRT and mixed-radix), channel arithmetic.
 
 Residues are kept canonical everywhere: residues[i] < moduli[i].  The CRT
-reconstruction exists for I/O and oracle checks; the mixed-radix digits
-come from the backend's counted kernel, which computes them on Python
-integers and counts the w-bit word ops of the elimination chain.
+reconstruction exists for I/O and oracle checks; the mixed-radix digits are
+computed on Python integers in Garner's form over the base's tables and
+counted as the w-bit word ops of the elimination chain.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .basegen import RnsBase
@@ -47,11 +47,27 @@ def from_rns_crt(x: RnsInt) -> int:
 
 
 def mrs_digits_vec(values, base: RnsBase, backend: WordModBackend) -> tuple:
-    """Mixed-radix digits of a residue vector (list form) and their value
-    sum_i d_i*W_i, from the backend's kernel: a sequential chain in
-    Garner's form, counted as the elimination chain it equals
-    (WordModBackend.mrs_digits)."""
-    return backend.mrs_digits(values, base.moduli, base.winv, base.weights)
+    """Mixed-radix digits of a residue vector (list form) in Garner's form,
+    and their value X = sum_i d_i*W_i.
+
+    Digit i is d_i = (x_i - X mod m_i) * W_i^-1 mod m_i, with X the value of
+    the digits so far, W_i = m_0 * ... * m_{i-1} (``base.weights``) and
+    W_i^-1 mod m_i (``base.winv``).  The elimination chain leaves
+    (x_i - sum_{j<i} d_j W_j) * W_i^-1 mod m_i in channel i after i steps,
+    the same residue, so the digits are bit-identical to the chain's; digit
+    0 is x_0 as the chain leaves it.  Counted as the chain
+    (``WordModBackend.count_mrs_chain``).
+    """
+    mods, winv, weights = base.moduli, base.winv, base.weights
+    backend.count_mrs_chain(len(values))
+    x = values[0]
+    digits = [x]
+    for i in range(1, len(values)):
+        m = mods[i]
+        d = (values[i] - x % m) * winv[i] % m
+        digits.append(d)
+        x += d * weights[i]
+    return digits, x
 
 
 def to_mrs(x: RnsInt, backend: WordModBackend) -> MrsDigits:
@@ -69,19 +85,20 @@ def mrs_value(d: MrsDigits) -> int:
     return acc
 
 
-_ELEMENTWISE = {
-    "add": WordModBackend.vec_add,
-    "sub": WordModBackend.vec_sub,
-    "mul": WordModBackend.vec_mul,
-}
+# op -> (channel operation, the backend's event count of its class)
+_ELEMENTWISE = {"add": (add, "n_add"), "sub": (sub, "n_sub"), "mul": (mul, "n_mul")}
 
 
 def rns_elementwise(op: str, x: RnsInt, y: RnsInt, backend: WordModBackend) -> RnsInt:
-    """Channel-parallel add/sub/mul; congruent to (x op y) mod M."""
+    """Channel-parallel add/sub/mul; congruent to (x op y) mod M.  Counted
+    as one op of its class per channel."""
     if x.base is not y.base:
         raise ValueError("operands live on different bases")
     try:
-        fn = _ELEMENTWISE[op]
+        fn, events = _ELEMENTWISE[op]
     except KeyError:
         raise ValueError(f"unknown elementwise op {op!r}") from None
-    return RnsInt(tuple(fn(backend, x.residues, y.residues, x.base)), x.base)
+    mods = backend.check_base(x.base)
+    setattr(backend, events, getattr(backend, events) + len(mods))
+    res = [fn(a, b) % m for a, b, m in zip(x.residues, y.residues, mods)]
+    return RnsInt(tuple(res), x.base)

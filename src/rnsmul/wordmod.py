@@ -14,21 +14,17 @@ written once, in ``WordModBackend``, and a kind is a row of
 ``PseudoMersenne`` adds its modulus-form validation and ``pm_reduce``, the
 folding reduction whose op stream the "pm" row of "mul" counts.
 
-Two multi-channel kernels carry the base extensions; each computes on
-Python integers and counts the op chain it stands for.  ``dot_mods`` builds
-sum_i x_i * C_i - k*M once and reduces it into every channel of the
-destination base through the base's remainder tree (``RnsBase.residues``).
-``mrs_digits`` is Garner's form of the mixed-radix elimination chain: digit
-i is (x_i - X mod m_i) * W_i^-1 mod m_i, with X the value of the digits so
-far and W_i = m_0 * ... * m_{i-1}.  Backends own mutable counters and
-nothing else, so one instance must not be shared between threads.
+Multi-channel values are computed by the layers that own their tables
+(``rnscore``, ``baseext``, ``modmul``); a backend only counts the op chains
+they stand for (``count_dot_mods``, ``count_mrs_chain``).  Backends own
+mutable counters and nothing else, so one instance must not be shared
+between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from operator import mul as _mul
 from typing import NamedTuple
 
 MIN_WIDTH = 8
@@ -100,7 +96,7 @@ OPS = ("add", "sub", "mul", "red")
 
 
 class WordModBackend:
-    """The one value path: validation, scalar ops, vector kernels.
+    """The one scalar value path: validation, scalar ops, counters.
 
     Scalar ops (addmod/submod/mulmod/redmod) enforce the reduced-input
     contract: operands of addmod/submod/mulmod must already be canonical
@@ -108,12 +104,11 @@ class WordModBackend:
     gate accepting an arbitrary w-bit word (it canonicalizes words crossing
     between channels with different moduli).
 
-    Every op counts one event of its class; the vec_*/dot_mods/mrs_digits
-    kernels count k events at once.  dot_mods and mrs_digits accumulate
-    with deferred reduction, which yields the exact same residues as the
-    op-by-op chain.  ``counters`` is derived on each read as the raw ticks
-    plus every event times its ``COSTS`` row; work that is no modular op
-    (pm_reduce's folds, the Kawamura accumulator) ticks ``raw`` directly.
+    Every op counts one event of its class; the chain counters count the
+    events of a whole op chain at once.  ``counters`` is derived on each
+    read as the raw ticks plus every event times its ``COSTS`` row; work
+    that is no modular op (pm_reduce's folds, the Kawamura accumulator)
+    ticks ``raw`` directly.
     ``tally`` reads the events and raw ticks of a fixed op sequence counted
     on a scratch backend, and ``charge`` adds them to another in one step.
     """
@@ -238,25 +233,11 @@ class WordModBackend:
         for name, delta in raw:
             setattr(cnt, name, getattr(cnt, name) + delta)
 
-    # -- vector kernels (channel-parallel fast paths) ------------------------
-
-    def vec_mul(self, xs, ys, base):
-        mods = self.check_base(base)
-        self.n_mul += len(mods)
-        return [x * y % m for x, y, m in zip(xs, ys, mods)]
-
-    def vec_add(self, xs, ys, base):
-        mods = self.check_base(base)
-        self.n_add += len(mods)
-        return [(x + y) % m for x, y, m in zip(xs, ys, mods)]
-
-    def vec_sub(self, xs, ys, base):
-        mods = self.check_base(base)
-        self.n_sub += len(mods)
-        return [(x - y) % m for x, y, m in zip(xs, ys, mods)]
+    # -- op-chain counters ----------------------------------------------------
 
     def count_dot_mods(self, n, c, k=None):
-        """Count c dot_mod chains of n terms: per channel n redmod, n mulmod
+        """Count c dot_mod chains of n terms, the op chains a CRT sum
+        (``baseext.crt_residues``) stands for: per channel n redmod, n mulmod
         and n-1 addmod, plus, when a quotient k is given, redmod(k), a
         mulmod by M and a submod.  k keeps redmod's contract: a w-bit word."""
         if k is not None:
@@ -269,20 +250,6 @@ class WordModBackend:
         self.n_mul += n * c
         self.n_add += max(n - 1, 0) * c
 
-    def dot_mod(self, values, consts, m):
-        """sum_i red(values[i]) * consts[i] mod m: one channel of dot_mods."""
-        self.count_dot_mods(len(values), 1)
-        return sum(map(_mul, values, consts)) % m
-
-    def dot_mods(self, values, consts, dst, k=None, M=0):
-        """Per channel j of base dst: sum_i red(values[i]) * consts[i] - k*M
-        mod m_j, counted by count_dot_mods.  The big integer sum - k*M is
-        built once and reduced by dst.residues; each term is congruent to
-        its op-chain counterpart, so the residues are bit-identical."""
-        self.count_dot_mods(len(values), dst.n, k)
-        x = sum(map(_mul, values, consts))
-        return dst.residues(x - k * M if k else x)
-
     def count_mrs_chain(self, n):
         """Count the mixed-radix elimination chain on n channels: n(n-1)/2
         each of redmod, submod and mulmod."""
@@ -290,29 +257,6 @@ class WordModBackend:
         self.n_red += steps
         self.n_sub += steps
         self.n_mul += steps
-
-    def mrs_digits(self, values, mods, winvs, weights):
-        """Mixed-radix digits of the residues values, in Garner's form, and
-        their value X = sum_i d_i * weights[i].
-
-        Digit i is d_i = (values[i] - X mod m_i) * winvs[i] mod m_i with
-        X = sum_{j<i} d_j * weights[j], weights[j] = m_0 * ... * m_{j-1} and
-        winvs[i] = weights[i]^-1 mod m_i.  The elimination chain leaves
-        (x_i - sum_{j<i} d_j W_j) * W_i^-1 mod m_i in channel i after i
-        steps, which is the same residue, so the digits are bit-identical
-        to the chain's; digit 0 is values[0] as the chain leaves it.
-        Counted as the chain (count_mrs_chain).
-        """
-        n = len(values)
-        self.count_mrs_chain(n)
-        x = values[0]
-        digits = [x]
-        for i in range(1, n):
-            m = mods[i]
-            d = (values[i] - x % m) * winvs[i] % m
-            digits.append(d)
-            x += d * weights[i]
-        return digits, x
 
 
 class NaiveModulo(WordModBackend):

@@ -182,8 +182,6 @@ def test_missing_subcommand():
 @pytest.mark.parametrize(
     "args",
     [
-        ["--repetitions", "0"],
-        ["--repetitions", "-1"],
         ["--channels", "7"],
         ["--channels", "8:4"],
         ["--model", "x"],
@@ -294,7 +292,6 @@ def test_bench_repeated_model_and_preset_write_one_row(tmp_path):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"repetitions": 0},
         {"presets": ("fast",)},
         {"models": ("x",)},
         {"channels": ()},

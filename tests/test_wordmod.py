@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from rnsmul.baseext import crt_residues
 from rnsmul.basegen import build_base
+from rnsmul.rnscore import mrs_digits_vec
 from rnsmul.wordmod import (
     BACKEND_KINDS,
     InstructionSim,
@@ -206,6 +208,7 @@ def test_agreement_randomized_w64():
 
 def test_vector_kernels_match_scalar_ops():
     from rnsmul.basegen import build_pm_base
+    from rnsmul.rnscore import RnsInt, rns_elementwise
 
     rng = random.Random(23)
     base = build_pm_base(8, 64)
@@ -215,43 +218,21 @@ def test_vector_kernels_match_scalar_ops():
         for _ in range(200):
             xs = [rng.randrange(m) for m in base.moduli]
             ys = [rng.randrange(m) for m in base.moduli]
-            assert vec_be.vec_mul(xs, ys, base) == [
-                ref_be.mulmod(x, y, m) for x, y, m in zip(xs, ys, base.moduli)
-            ]
-            assert vec_be.vec_add(xs, ys, base) == [
-                ref_be.addmod(x, y, m) for x, y, m in zip(xs, ys, base.moduli)
-            ]
-            assert vec_be.vec_sub(xs, ys, base) == [
-                ref_be.submod(x, y, m) for x, y, m in zip(xs, ys, base.moduli)
-            ]
+            x, y = RnsInt(tuple(xs), base), RnsInt(tuple(ys), base)
+            for op, scalar in (
+                ("mul", ref_be.mulmod),
+                ("add", ref_be.addmod),
+                ("sub", ref_be.submod),
+            ):
+                assert rns_elementwise(op, x, y, vec_be).residues == tuple(
+                    scalar(a, b, m) for a, b, m in zip(xs, ys, base.moduli)
+                )
         # identical op counts for identical work
         assert vec_be.read_counters() == ref_be.read_counters()
 
 
-def test_dot_mod_matches_op_chain():
-    """The fused accumulation must be bit-identical to the op-by-op chain."""
-    from rnsmul.basegen import build_pm_base
-
-    rng = random.Random(29)
-    base = build_pm_base(6, 64)
-    src_words = [(1 << 64) - 1, 5, 0] + [rng.getrandbits(64) for _ in range(5)]
-    for kind in BACKEND_KINDS:
-        fused = make_backend(kind, 64)
-        chained = make_backend(kind, 64)
-        for m in base.moduli:
-            col = [rng.randrange(m) for _ in src_words]
-            got = fused.dot_mod(src_words, col, m)
-            acc = chained.mulmod(chained.redmod(src_words[0], m), col[0], m)
-            for v, t in zip(src_words[1:], col[1:]):
-                acc = chained.addmod(
-                    acc, chained.mulmod(chained.redmod(v, m), t, m), m
-                )
-            assert got == acc
-        assert fused.read_counters() == chained.read_counters()
-
-
 def dot_chain(be, values, consts, mods, k=None, M=0):
-    """The per-channel redmod/mulmod/addmod chain dot_mods stands for,
+    """The per-channel redmod/mulmod/addmod chain a CRT sum stands for,
     followed by submod(., mulmod(redmod(k), M mod m)) when k is given."""
     out = []
     for m in mods:
@@ -264,9 +245,16 @@ def dot_chain(be, values, consts, mods, k=None, M=0):
     return out
 
 
+def crt_kernel(be, values, src, dst, k=None):
+    """The CRT kernel as the extensions run it: count_dot_mods, then
+    crt_residues (k=None passes no quotient and counts no correction)."""
+    be.count_dot_mods(len(values), dst.n, k)
+    return crt_residues(values, src, dst, k or 0)
+
+
 def test_dot_mods_matches_per_channel_op_chain():
-    """The multi-channel kernel, one big-integer sum reduced per channel,
-    must equal the per-channel redmod/mulmod/addmod chain followed by
+    """The CRT kernel, one big-integer sum reduced per channel, must equal
+    the per-channel redmod/mulmod/addmod chain followed by
     submod(., mulmod(redmod(k), M mod m)), in values and in counters."""
     from rnsmul.basegen import RnsBase, generate_pm_moduli
 
@@ -282,18 +270,18 @@ def test_dot_mods_matches_per_channel_op_chain():
         for k in (None, 0, src.n, top_k):
             fused = make_backend(kind, 64)
             chained = make_backend(kind, 64)
-            got = fused.dot_mods(values, consts, dst, k, M)
+            got = crt_kernel(fused, values, src, dst, k)
             want = dot_chain(chained, values, consts, dst.moduli, k, M)
             assert got == want, (kind, k)
             assert fused.read_counters() == chained.read_counters(), (kind, k)
         # k keeps redmod's contract: a w-bit word
         with pytest.raises(ValueError, match="exceeds 64 bits"):
-            make_backend(kind, 64).dot_mods(values, consts, dst, 1 << 64, M)
+            make_backend(kind, 64).count_dot_mods(src.n, dst.n, 1 << 64)
 
 
 @pytest.mark.parametrize("n", [5, 9, 64])
 def test_dot_mods_remainder_tree_matches_op_chain(n):
-    """Above TREE_LEAF destination channels dot_mods reduces through the
+    """Above TREE_LEAF destination channels crt_residues reduces through the
     destination base's remainder tree; each channel must still equal the op
     chain, for a positive sum and for a negative sum - k*M, on every kind."""
     from rnsmul.basegen import TREE_LEAF, RnsBase, generate_pm_moduli
@@ -312,7 +300,7 @@ def test_dot_mods_remainder_tree_matches_op_chain(n):
         chained = make_backend(kind, 64)
         # the second call reads the tree the first built on dst
         for k in (None, top_k):
-            got = fused.dot_mods(values, src.Mi, dst, k, src.M)
+            got = crt_kernel(fused, values, src, dst, k)
             want = dot_chain(chained, values, src.Mi, dst.moduli, k, src.M)
             assert got == want, (kind, k)
         assert fused.read_counters() == chained.read_counters(), kind
@@ -329,9 +317,9 @@ def test_dot_mods_share_the_base_tree():
     values = [m // 3 for m in src.moduli]
     first, second = make_backend("inst", 64), make_backend("modulo", 64)
     assert "tree" not in vars(dst)
-    got = first.dot_mods(values, src.Mi, dst)
+    got = crt_kernel(first, values, src, dst)
     tree = vars(dst)["tree"]
-    assert second.dot_mods(values, src.Mi, dst) == got
+    assert crt_kernel(second, values, src, dst) == got
     assert dst.tree is tree
     for be in (first, second):
         assert set(vars(be)) == {"width", "_terms", "raw", "n_add", "n_sub", "n_mul", "n_red"}
@@ -386,7 +374,7 @@ def test_mrs_digits_matches_op_chain():
             fused = make_backend(kind, base.w)
             chained = make_backend(kind, base.w)
             for values in inputs:
-                got, x = fused.mrs_digits(values, mods, base.winv, base.weights)
+                got, x = mrs_digits_vec(values, base, fused)
                 assert got == elimination_chain(chained, values, mods), (kind, base)
                 assert x == sum(d * W for d, W in zip(got, base.weights))
             assert fused.read_counters() == chained.read_counters(), (kind, base)
@@ -394,8 +382,8 @@ def test_mrs_digits_matches_op_chain():
 
 def test_cost_table_pins_per_op_and_kernel_deltas():
     """One call's counter delta per kind and op, and the closed forms of
-    dot_mod at k=5 terms and of mrs_digits on k=5 channels (t = k(k-1)/2
-    elimination steps), as literal numbers."""
+    one dot_mod chain of k=5 terms and of the mixed-radix digits on k=5
+    channels (t = k(k-1)/2 elimination steps), as literal numbers."""
     k = 5
     t = k * (k - 1) // 2
     want = {
@@ -432,10 +420,8 @@ def test_cost_table_pins_per_op_and_kernel_deltas():
         "submod": lambda be: be.submod(10, 200, 251),
         "mulmod": lambda be: be.mulmod(250, 250, 251),
         "redmod": lambda be: be.redmod(254, 251),
-        "dot_mod": lambda be: be.dot_mod([255, 7, 0, 128, 251], [1, 2, 3, 4, 5], 251),
-        "mrs_digits": lambda be: be.mrs_digits(
-            [254, 1, 2, 3, 4], base.moduli, base.winv, base.weights
-        ),
+        "dot_mod": lambda be: be.count_dot_mods(k, 1),
+        "mrs_digits": lambda be: mrs_digits_vec([254, 1, 2, 3, 4], base, be),
     }
     for kind, rows in want.items():
         for op, row in rows.items():
