@@ -10,15 +10,19 @@ Three interchangeable strategies compute (a op b) mod m on w-bit words:
 The strategies return identical values on identical inputs and differ only
 in what one modular add, sub, mul or reduction costs.  So the value path is
 written once, in ``WordModBackend``, and a kind is a row of
-``WordModBackend.COSTS``: the counters one op of each class ticks.
-``PseudoMersenne`` adds its modulus-form validation and ``pm_reduce``, the
-folding reduction whose op stream the "pm" row of "mul" counts.
+``WordModBackend.COSTS`` (the counters one op of each class ticks) plus the
+moduli it accepts, held as bounds computed once per backend: a scalar op
+checks its modulus and operands in one comparison chain and runs the
+validation helpers, which word the errors, only when that chain fails.
+``PseudoMersenne`` narrows the accepted moduli to its form and adds
+``pm_reduce``, the folding reduction whose op stream the "pm" row of "mul"
+counts.
 
 Multi-channel values are computed by the layers that own their tables
 (``rnscore``, ``baseext``, ``modmul``); a backend only counts the op chains
 they stand for (``count_dot_mods``, ``count_mrs_chain``).  Backends own
-mutable counters and nothing else, so one instance must not be shared
-between threads.
+their modulus bounds and mutable counters and nothing else, so one
+instance must not be shared between threads.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ def pm_modulus(m: int, w: int) -> PmModulus:
     Requires m = 2^w - c with c odd and 1 <= c < 2^(w/2).  The bound on c
     keeps the three folding passes of the reduction inside double-width
     intermediates; oddness makes every accepted modulus odd.  Results are
-    cached, since every scalar op of the pseudo-Mersenne kind validates
-    its modulus.
+    cached: every base built from sieved moduli validates them again
+    (``RnsBase.pm_moduli``), several hundred times per default sweep.
     """
     check_width(w)
     c = (1 << w) - m
@@ -104,6 +108,12 @@ class WordModBackend:
     gate accepting an arbitrary w-bit word (it canonicalizes words crossing
     between channels with different moduli).
 
+    A kind is its ``COSTS`` row plus the moduli it accepts: the odd ones
+    or all of them, from ``_m_min`` to ``_m_max``.  Each scalar op tests
+    those bounds and its operands in one comparison chain; only when the
+    chain fails does it call ``_check_reduced``/``_check_modulus``, which
+    raise the error.  A value the chain passes the helpers pass too.
+
     Every op counts one event of its class; the chain counters count the
     events of a whole op chain at once.  ``counters`` is derived on each
     read as the raw ticks plus every event times its ``COSTS`` row; work
@@ -142,6 +152,11 @@ class WordModBackend:
 
     def __init__(self, w: int = 64):
         self.width = check_width(w)
+        # the accepted moduli: 2 <= m <= 2^w - 1, odd ones only if _m_odd;
+        # the top is inclusive and parity is tested with %, so a float that
+        # is no exact int can fail the chain but never passes what the
+        # helpers reject
+        self._m_min, self._m_max, self._m_odd = 2, (1 << w) - 1, 0
         # the cost rows flattened to (counter, op index, delta) terms
         self._terms = [
             (name, i, delta)
@@ -174,25 +189,41 @@ class WordModBackend:
     # -- scalar operations ---------------------------------------------------
 
     def addmod(self, a: int, b: int, m: int) -> int:
-        self._check_reduced(a, b, m)
+        if not (
+            self._m_min <= m <= self._m_max and m % 2 >= self._m_odd
+            and 0 <= a < m and 0 <= b < m
+        ):
+            self._check_reduced(a, b, m)
         self.n_add += 1
         return (a + b) % m
 
     def submod(self, a: int, b: int, m: int) -> int:
-        self._check_reduced(a, b, m)
+        if not (
+            self._m_min <= m <= self._m_max and m % 2 >= self._m_odd
+            and 0 <= a < m and 0 <= b < m
+        ):
+            self._check_reduced(a, b, m)
         self.n_sub += 1
         return (a - b) % m
 
     def mulmod(self, a: int, b: int, m: int) -> int:
-        self._check_reduced(a, b, m)
+        if not (
+            self._m_min <= m <= self._m_max and m % 2 >= self._m_odd
+            and 0 <= a < m and 0 <= b < m
+        ):
+            self._check_reduced(a, b, m)
         self.n_mul += 1
         return a * b % m
 
     def redmod(self, a: int, m: int) -> int:
         """Canonicalize an arbitrary w-bit word into [0, m)."""
-        self._check_modulus(m)
-        if not 0 <= a < (1 << self.width):
-            raise ValueError(f"redmod operand {a} exceeds {self.width} bits")
+        if not (
+            self._m_min <= m <= self._m_max and m % 2 >= self._m_odd
+            and 0 <= a <= self._m_max
+        ):
+            self._check_modulus(m)
+            if not 0 <= a < (1 << self.width):
+                raise ValueError(f"redmod operand {a} exceeds {self.width} bits")
         self.n_red += 1
         return a % m
 
@@ -274,6 +305,11 @@ class PseudoMersenne(WordModBackend):
     """
 
     kind = "pm"
+
+    def __init__(self, w: int = 64):
+        super().__init__(w)
+        # the odd m = 2^w - c with 1 <= c < 2^(w/2): pm_modulus's set
+        self._m_min, self._m_odd = (1 << w) - (1 << (w // 2)) + 1, 1
 
     def _check_modulus(self, m: int) -> None:
         # pseudo-Mersenne form implies 2 <= m < 2^w

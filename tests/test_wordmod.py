@@ -106,6 +106,91 @@ def test_pm_rejects_non_pm_modulus():
         be.mulmod(1, 1, 239)  # c = 17 >= 2^4
     with pytest.raises(ValueError, match="pseudo-Mersenne"):
         be.addmod(1, 1, 97)
+    with pytest.raises(ValueError, match="pseudo-Mersenne"):
+        be.redmod(256, 250)  # the modulus error comes before the operand's
+
+
+# each scalar op with operands every accepted modulus takes
+SCALAR_CALLS = {
+    "addmod": lambda be, m: be.addmod(0, 0, m),
+    "submod": lambda be, m: be.submod(0, 0, m),
+    "mulmod": lambda be, m: be.mulmod(0, 0, m),
+    "redmod": lambda be, m: be.redmod(0, m),
+}
+
+
+def helper_accepts(be, moduli):
+    """The moduli ``_check_modulus`` lets through."""
+    ok = set()
+    for m in moduli:
+        try:
+            be._check_modulus(m)
+        except ValueError:
+            continue
+        ok.add(m)
+    return ok
+
+
+def chain_accepts(be, moduli, call):
+    """The moduli an op passes on its comparison chain alone: a failing
+    chain calls ``_check_modulus``, here replaced by a log."""
+    log = []
+    be._check_modulus = log.append
+    for m in moduli:
+        try:
+            call(be, m)
+        except (ValueError, ZeroDivisionError):
+            pass  # m = 0 gets past the log
+    return set(moduli) - set(log)
+
+
+def test_chain_bounds_match_helpers_small_widths():
+    """Every modulus in [0, 2^w + 2], every kind, w = 8..16: the one-chain
+    test of addmod and of redmod accepts exactly what the helper does."""
+    for cls in BACKEND_KINDS.values():
+        for w in range(8, 17):
+            moduli = range((1 << w) + 3)
+            accepted = helper_accepts(cls(w), moduli)
+            assert accepted
+            for op in ("addmod", "redmod"):
+                assert chain_accepts(cls(w), moduli, SCALAR_CALLS[op]) == accepted, (
+                    cls.kind, w, op)
+
+
+@pytest.mark.parametrize("w", [31, 32, 63, 64])
+def test_chain_bounds_match_helpers_at_edges(w):
+    """The edges of both bound sets at large w, odd and even c, and a
+    seeded sample, on all four ops."""
+    rng = random.Random(w)
+    top, half = 1 << w, 1 << (w // 2)
+    moduli = {0, 1, 2, 3, 4, 5, top - 1, top, top + 1, top + 2}
+    moduli |= {top - half + d for d in range(-3, 4)}
+    moduli |= {top - c for c in range(1, 12)}
+    moduli |= {rng.randrange(top + 3) for _ in range(100)}
+    moduli |= {top - rng.randrange(1, 2 * half) for _ in range(100)}
+    for cls in BACKEND_KINDS.values():
+        accepted = helper_accepts(cls(w), moduli)
+        assert top - 1 in accepted
+        for op, call in SCALAR_CALLS.items():
+            assert chain_accepts(cls(w), moduli, call) == accepted, (cls.kind, op)
+        # the largest operands an accepted modulus takes pass the chain too
+        be = cls(w)
+        be._check_modulus = be._check_reduced = None
+        for m in accepted:
+            be.addmod(m - 1, m - 1, m)
+            be.submod(0, m - 1, m)
+            be.mulmod(m - 1, m - 1, m)
+            be.redmod(top - 1, m)
+
+
+def test_chain_passes_no_float_modulus_the_helper_rejects():
+    """A float modulus is not an exact int: the chain may send it to the
+    helper, but never passes one the helper rejects."""
+    moduli = [1.5, 2.0, 2.5, 241.0, 250.0, 251.0, 251.5, 254.5, 255.0, 255.5, 256.0]
+    for cls in BACKEND_KINDS.values():
+        accepted = helper_accepts(cls(8), moduli)
+        for op, call in SCALAR_CALLS.items():
+            assert chain_accepts(cls(8), moduli, call) <= accepted, (cls.kind, op)
 
 
 def test_width_validation():
@@ -309,7 +394,8 @@ def test_dot_mods_remainder_tree_matches_op_chain(n):
 def test_dot_mods_share_the_base_tree():
     """The destination base builds its remainder tree on the first
     reduction and every backend reduces through that one object; a backend
-    holds its counters and nothing else."""
+    holds its width, its modulus bounds and its counters, and no tree or
+    table."""
     from rnsmul.basegen import RnsBase, generate_pm_moduli
 
     pool = [pm.m for pm in generate_pm_moduli(18, 64)]
@@ -322,7 +408,10 @@ def test_dot_mods_share_the_base_tree():
     assert crt_kernel(second, values, src, dst) == got
     assert dst.tree is tree
     for be in (first, second):
-        assert set(vars(be)) == {"width", "_terms", "raw", "n_add", "n_sub", "n_mul", "n_red"}
+        assert set(vars(be)) == {
+            "width", "_m_min", "_m_max", "_m_odd", "_terms",
+            "raw", "n_add", "n_sub", "n_mul", "n_red",
+        }
 
 
 def elimination_chain(be, values, mods):
