@@ -3,7 +3,7 @@
 A base is an ordered set of pairwise-coprime w-bit moduli together with
 every table the conversions and extensions need.  Tables are computed with
 arbitrary-precision arithmetic once: the CRT constants at construction, the
-mixed-radix, pseudo-Mersenne and remainder-tree tables on first read.
+mixed-radix and remainder-tree tables on first read.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ class RnsBase:
                    built on first read.
         idempotents: the CRT idempotents Mi*inv_Mi, 1 mod m_i and 0 mod
                    every other channel, built on first read.
-        pm_moduli: the channels as PmModulus, built on first read; raises
-                   if a channel is not pseudo-Mersenne at w.
         tree:      the remainder tree of the moduli (Bernstein 2008),
                    built on first read; ``residues`` reduces through it.
 
@@ -107,10 +105,6 @@ class RnsBase:
     @cached_property
     def idempotents(self) -> tuple:
         return tuple(map(mul, self.Mi, self.inv_Mi))
-
-    @cached_property
-    def pm_moduli(self) -> tuple:
-        return tuple(pm_modulus(m, self.w) for m in self.moduli)
 
     @cached_property
     def tree(self):

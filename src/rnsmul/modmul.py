@@ -9,14 +9,14 @@ Values in the pipeline are bounded by (n+2)*p rather than the textbook 2p:
 the approximate first extension leaves an excess of up to (n-1)*M on the
 quotient, which the sizing rules M > (n+2)^2 * p and M' > 2*(n+2)*p absorb,
 keeping the bound closed under iteration and the Kawamura step inside its
-alpha = 1/2 exactness window.
+exactness window (1-alpha)*M', which a context checks for its alpha.
 
-``mont_mul`` separates the count from the value.  Its counters depend on
-the context and the backend kind only, so they are counted once into a
-charge table (``MontgomeryContext.charges``) and charged on every call; its
-values run in merged passes, the channel constants folded together as in
-the Cox-Rower design (Kawamura et al., EUROCRYPT 2000) and Bajard-Imbert
-(IEEE TC 2004).  The op-by-op ``baseext.extend_*`` are the reference.
+``mont_mul`` separates the count from the value.  The context counts one
+call's op events once, into a charge table (``MontgomeryContext.charges``)
+that serves every backend kind; the values run in merged passes, the
+channel constants folded together as in the Cox-Rower design (Kawamura et
+al., EUROCRYPT 2000) and Bajard-Imbert (IEEE TC 2004).  The op-by-op
+``baseext.extend_*`` are the reference.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from operator import mul
 from typing import NamedTuple
 
 from .basegen import generate_pm_moduli, split_bases
-from .baseext import ExtensionPair, KawamuraParams, count_rower, crt_residues
-from .baseext import rower_estimate
+from .baseext import KawamuraParams, count_rower, crt_residues, rower_estimate
 from .oracle import check_mont
 from .rnscore import RnsInt, from_rns_crt, to_rns
-from .wordmod import WordModBackend
+from .wordmod import InstructionSim, WordModBackend
 
 VARIANT_ST = "st"
 VARIANT_KAWAMURA = "kawamura"
@@ -53,18 +52,13 @@ class MontPair(NamedTuple):
 
 @lru_cache(maxsize=1)
 def _channel_tables(p, bm, bmp) -> dict:
-    """The tables every variant's context on (p, bm, bmp) shares (a base
-    hashes by identity): the extension pairs, the op-by-op constants -p^-1
-    on Bm, p and M^-1 on Bm', and the fused c_i = -p^-1*(M/m_i)^-1 on Bm
-    and p*M^-1 on Bm'."""
+    """The tables mont_mul reads, shared by every variant's context on
+    (p, bm, bmp) (a base hashes by identity): the fused
+    c_i = -p^-1*(M/m_i)^-1 on Bm, and M^-1 and p*M^-1 on Bm'."""
     neg_p_inv = [-pow(r, -1, m) % m for r, m in zip(bm.residues(p), bm.moduli)]
     p_bmp = bmp.residues(p)
     m_inv = [pow(r, -1, m) for r, m in zip(bmp.residues(bm.M), bmp.moduli)]
     return dict(
-        fwd=ExtensionPair(bm, bmp),
-        bwd=ExtensionPair(bmp, bm),
-        neg_p_inv_bm=tuple(neg_p_inv),
-        p_bmp=tuple(p_bmp),
         m_inv_bmp=tuple(m_inv),
         c_bm=tuple([a * b % m for a, b, m in zip(neg_p_inv, bm.inv_Mi, bm.moduli)]),
         pm_inv_bmp=tuple([a * b % m for a, b, m in zip(p_bmp, m_inv, bmp.moduli)]),
@@ -72,14 +66,15 @@ def _channel_tables(p, bm, bmp) -> dict:
 
 
 class MontgomeryContext:
-    """Bases, precomputed channel constants and sizing data for one modulus.
+    """Bases, the channel tables mont_mul reads and its charge table.
 
     The one place a context is checked and completed: p must be odd and
     >= 3, the variant name goes through VARIANT_ALIASES, omitted Kawamura
-    parameters are derived for bmp, and given ones must have been built
-    for bmp.  The charge tables are filled on first use per backend kind
-    and width and are deterministic, so a race can at most build one
-    twice; pass a per-thread backend to mont_mul.
+    parameters are derived for bmp, given ones must have been built for
+    bmp with a window (1-alpha)*M' that holds the bound (n+2)*p, and the
+    bases must share their width and no factor.  ``charges`` records the
+    backend kinds that passed their base check, which a race can at most
+    repeat; pass a per-thread backend to mont_mul.
     """
 
     def __init__(self, p, bm, bmp, variant=VARIANT_KAWAMURA, kparams=None):
@@ -99,36 +94,36 @@ class MontgomeryContext:
         self.bm = bm
         self.bmp = bmp
         self.n = bm.n
-        self.w = bm.w
         self.variant = variant
         self.kparams = kparams
         self.bound = (self.n + 2) * p
         self._check_sizing()
         vars(self).update(_channel_tables(p, bm, bmp))
-        self._charges = {}
+        # one call's op events and raw ticks, the same for every kind; the
+        # scratch backend is built from its class, unseen by make_backend's tracer
+        n, n2, cnt = self.n, bmp.n, InstructionSim(bm.w)
+        # x*y on both bases, -p^-1 and xi on Bm, p and M^-1 on Bm', an add
+        cnt.n_mul += 3 * n + 3 * n2
+        cnt.n_add += n2
+        cnt.count_dot_mods(n, n2)  # Bajard-Imbert
+        if variant == VARIANT_KAWAMURA:
+            cnt.n_mul += n2  # xi on Bm'
+            count_rower(cnt, n2)
+            cnt.count_dot_mods(n2, n, 0)
+        else:
+            cnt.count_mrs_chain(n2)
+            cnt.count_dot_mods(n2, n)
+        self._table = cnt.tally()
+        self._checked = set()
 
     def charges(self, backend: WordModBackend) -> tuple:
-        """The counters one mont_mul ticks on backend's kind and width, as
-        the op-by-op path counts them, counted once on a fresh backend after
-        backend.check_base passes on both bases (a failure caches nothing)."""
-        key = (type(backend), backend.width)
-        if key not in self._charges:
+        """One call's counters as a table for backend.charge, once
+        backend.check_base has passed on both bases (a failure records nothing)."""
+        if (key := (type(backend), backend.width)) not in self._checked:
             backend.check_base(self.bm)
             backend.check_base(self.bmp)
-            n, n2, cnt = self.n, self.bmp.n, type(backend)(backend.width)
-            # x*y on both bases, -p^-1 and xi on Bm, p and M^-1 on Bm', an add
-            cnt.n_mul += 3 * n + 3 * n2
-            cnt.n_add += n2
-            cnt.count_dot_mods(n, n2)  # Bajard-Imbert
-            if self.variant == VARIANT_KAWAMURA:
-                cnt.n_mul += n2  # xi on Bm'
-                count_rower(cnt, n2)
-                cnt.count_dot_mods(n2, n, 0)
-            else:
-                cnt.count_mrs_chain(n2)
-                cnt.count_dot_mods(n2, n)
-            self._charges[key] = cnt.tally()
-        return self._charges[key]
+            self._checked.add(key)
+        return self._table
 
     def _check_sizing(self):
         p, bm, bmp, n = self.p, self.bm, self.bmp, self.n
@@ -145,6 +140,15 @@ class MontgomeryContext:
                 f"need M > (n+2)^2*p ({need_m.bit_length()} bits, have "
                 f"{bm.M.bit_length()}) and M' > 2(n+2)*p "
                 f"({need_mp.bit_length()} bits, have {bmp.M.bit_length()})"
+            )
+        if bm.w != bmp.w:
+            raise ValueError(f"mixed word sizes: Bm has w={bm.w}, Bm' has w={bmp.w}")
+        if (g := math.gcd(bm.M, bmp.M)) != 1:
+            raise ValueError(f"Bm and Bm' are not coprime: M and M' share factor {g}")
+        if self.kparams and self.bound > (1 - self.kparams.alpha) * bmp.M:
+            raise ValueError(
+                f"Kawamura offset alpha={self.kparams.alpha} leaves the exactness "
+                f"window (1-alpha)*M' below the bound (n+2)*p = {self.bound}"
             )
 
 

@@ -9,6 +9,7 @@ check built on this module.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 
@@ -41,7 +42,8 @@ def check_mont(ctx, x, y, z) -> None:
     """Raise AssertionError unless z = mont_mul(ctx, x, y) keeps every
     contract: the halves of each operand agree, both halves of z agree,
     the value is below the bound, the Bm' half lies inside the Kawamura
-    window M'/2, and the value is congruent to x*y*M^-1 mod p."""
+    window (1-alpha)*M' (alpha=1/2 with no kparams), and the value is
+    congruent to x*y*M^-1 mod p."""
     bm, bmp = ctx.bm.moduli, ctx.bmp.moduli
     xv = crt_value(x.in_bm.residues, bm)
     yv = crt_value(y.in_bm.residues, bm)
@@ -54,9 +56,8 @@ def check_mont(ctx, x, y, z) -> None:
         raise AssertionError(f"halves disagree: {zv} on Bm vs {zv_mp} on Bm'")
     if zv >= ctx.bound:
         raise AssertionError(f"result {zv} breaks the bound {ctx.bound}")
-    if 2 * zv_mp >= math.prod(bmp):
-        raise AssertionError(
-            "step-7 operand left the Kawamura exactness window M'/2"
-        )
+    alpha = ctx.kparams.alpha if ctx.kparams else Fraction(1, 2)
+    if zv_mp >= (1 - alpha) * math.prod(bmp):
+        raise AssertionError(f"step-7 operand left the Kawamura window, alpha={alpha}")
     if zv % ctx.p != xv * yv * pow(math.prod(bm), -1, ctx.p) % ctx.p:
         raise AssertionError("result incongruent to x*y*M^-1 mod p")

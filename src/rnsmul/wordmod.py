@@ -28,7 +28,6 @@ instance must not be shared between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import NamedTuple
 
 MIN_WIDTH = 8
@@ -50,15 +49,12 @@ class PmModulus(NamedTuple):
     mask: int
 
 
-@lru_cache(maxsize=1024)
 def pm_modulus(m: int, w: int) -> PmModulus:
     """Validate that m has pseudo-Mersenne form and package its parameters.
 
     Requires m = 2^w - c with c odd and 1 <= c < 2^(w/2).  The bound on c
     keeps the three folding passes of the reduction inside double-width
-    intermediates; oddness makes every accepted modulus odd.  Results are
-    cached: every base built from sieved moduli validates them again
-    (``RnsBase.pm_moduli``), several hundred times per default sweep.
+    intermediates; oddness makes every accepted modulus odd.
     """
     check_width(w)
     c = (1 << w) - m
@@ -300,7 +296,8 @@ class PseudoMersenne(WordModBackend):
     """Folding reduction for pseudo-Mersenne moduli m = 2^w - c.
 
     Using any modulus that is not pseudo-Mersenne form is a configuration
-    error.  pm_reduce is the folding reduction the cost row of "mul"
+    error; ``check_base`` tests every channel against the same bounds as
+    the scalar ops.  pm_reduce is the folding reduction the cost row of "mul"
     describes, tested against ``%`` on its own.
     """
 
@@ -317,7 +314,9 @@ class PseudoMersenne(WordModBackend):
 
     def check_base(self, base):
         moduli = super().check_base(base)
-        base.pm_moduli  # raises if any channel is not PM form
+        for m in moduli:
+            if not (self._m_min <= m <= self._m_max and m % 2):
+                self._check_modulus(m)  # words the error
         return moduli
 
     def pm_reduce(self, a: int, pm: PmModulus) -> int:

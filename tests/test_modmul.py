@@ -4,13 +4,15 @@ bound preservation, tiny-scale exhaustive sweeps."""
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from rnsmul import wordmod
-from rnsmul.basegen import RnsBase, generate_pm_moduli
+from rnsmul.basegen import RnsBase, generate_pm_moduli, split_bases
 from rnsmul.baseext import (
+    ExtensionPair,
     KawamuraParams,
     extend_bajard_imbert,
     extend_kawamura,
@@ -78,10 +80,7 @@ def test_context_wide():
 
 def test_precomputed_residues():
     p = 97
-    for i, m in enumerate(CTX97.bm.moduli):
-        assert CTX97.neg_p_inv_bm[i] == (m - pow(p, -1, m)) % m
     for j, m in enumerate(CTX97.bmp.moduli):
-        assert CTX97.p_bmp[j] == p % m
         assert CTX97.m_inv_bmp[j] * (CTX97.bm.M % m) % m == 1
         assert CTX97.pm_inv_bmp[j] * (CTX97.bm.M % m) % m == p % m
     for i, m in enumerate(CTX97.bm.moduli):
@@ -280,13 +279,68 @@ def test_constructor_rejects_even_or_small_p():
             MontgomeryContext(p, CTX97.bm, CTX97.bmp)
 
 
+def test_constructor_rejects_bases_of_mixed_widths():
+    bmp = RnsBase((65521, 65519), 16)
+    for variant in VARIANTS:
+        with pytest.raises(ValueError, match="mixed word sizes: Bm has w=8, Bm' has"):
+            MontgomeryContext(97, CTX97.bm, bmp, variant)
+
+
+def test_constructor_rejects_bases_that_share_a_factor():
+    bmp = RnsBase((253, 245), 8)  # 245 = 5 * 7^2 and 255 = 3 * 5 * 17
+    for variant in VARIANTS:
+        with pytest.raises(ValueError, match="M and M' share factor 5"):
+            MontgomeryContext(97, CTX97.bm, bmp, variant)
+
+
+def test_constructor_rejects_kparams_whose_window_misses_the_bound():
+    """On Bm = (255, 251), Bm' = (253, 247) and p = 3997 the bound is
+    15988 = 0.256*M'.  With alpha = 9/10, unchecked, 1654 of 20,000
+    products came out wrong; the window (1-alpha)*M' must hold the bound."""
+    bm, bmp = split_bases([pm.m for pm in generate_pm_moduli(4, 8)], 8)
+    for alpha in (Fraction(9, 10), Fraction(191, 256)):
+        kp = KawamuraParams.for_base(bmp, alpha=alpha)
+        for variant in VARIANTS:
+            with pytest.raises(
+                ValueError, match=rf"alpha={kp.alpha} .* bound \(n\+2\)\*p = 15988"
+            ):
+                MontgomeryContext(3997, bm, bmp, variant, kp)
+    # the widest window on q = 8 bits that holds the bound stays exact
+    kp = KawamuraParams.for_base(bmp, alpha=Fraction(190, 256))
+    ctx = MontgomeryContext(3997, bm, bmp, "kawamura", kp)
+    be, rng = make_backend("inst", 8), random.Random(9)
+    for _ in range(300):
+        x, y = (mont_pair(ctx, rng.randrange(ctx.bound)) for _ in "xy")
+        mont_mul(ctx, x, y, be, check=True)
+
+
+def test_context_holds_only_what_mont_mul_reads():
+    """No extension pair and no op-by-op constant: the reference
+    (``_op_by_op``) builds those itself."""
+    for ctx in (CTX97, CTX97_ST):
+        assert set(vars(ctx)) == {
+            "p", "bm", "bmp", "n", "variant", "kparams", "bound",
+            "c_bm", "m_inv_bmp", "pm_inv_bmp", "_table", "_checked",
+        }
+
+
+def test_one_charge_table_serves_every_kind():
+    for ctx in (CTX97, CTX97_ST):
+        first, *rest = [ctx.charges(make_backend(k, 8)) for k in BACKEND_KINDS]
+        assert rest and all(table is first for table in rest)
+
+
 @pytest.mark.parametrize("kind", sorted(BACKEND_KINDS))
 def test_mont_mul_rejects_backend_of_another_width(kind):
     ctx = context_new(1_000_003, 2, 64, "st")
     x = to_mont(ctx, 5)
-    for _ in range(2):  # a failed check leaves no charge table behind
+    for _ in range(2):  # a failed check records nothing
         with pytest.raises(ValueError, match="base has w=64, backend expects w=8"):
             mont_mul(ctx, x, x, make_backend(kind, 8))
+    # nor does a kind that passed at the context's width pass at another
+    mont_mul(ctx, x, x, make_backend(kind, 64))
+    with pytest.raises(ValueError, match="base has w=64, backend expects w=8"):
+        mont_mul(ctx, x, x, make_backend(kind, 8))
 
 
 def test_mont_mul_rejects_pm_backend_on_other_moduli():
@@ -336,18 +390,23 @@ def test_mont_mul_makes_no_backend(monkeypatch):
 
 
 def _op_by_op(ctx, x, y, be):
-    """mont_mul's stages one op at a time through the public kernels."""
-    bm, bmp = ctx.bm, ctx.bmp
+    """mont_mul's stages one op at a time through the public kernels, on
+    constants and extension pairs built here from the bases alone."""
+    bm, bmp, p = ctx.bm, ctx.bmp, ctx.p
+    neg_p_inv = RnsInt(tuple(-pow(p, -1, m) % m for m in bm.moduli), bm)
+    p_bmp = RnsInt(tuple(p % m for m in bmp.moduli), bmp)
+    m_inv = RnsInt(tuple(pow(bm.M, -1, m) for m in bmp.moduli), bmp)
     s_m = rns_elementwise("mul", x.in_bm, y.in_bm, be)
     s_mp = rns_elementwise("mul", x.in_bmp, y.in_bmp, be)
-    t = rns_elementwise("mul", s_m, RnsInt(ctx.neg_p_inv_bm, bm), be)
-    t_ext = extend_bajard_imbert(t, ctx.fwd, be)
-    u = rns_elementwise("mul", t_ext, RnsInt(ctx.p_bmp, bmp), be)
+    t = rns_elementwise("mul", s_m, neg_p_inv, be)
+    t_ext = extend_bajard_imbert(t, ExtensionPair(bm, bmp), be)
+    u = rns_elementwise("mul", t_ext, p_bmp, be)
     v = rns_elementwise("add", s_mp, u, be)
-    w = rns_elementwise("mul", v, RnsInt(ctx.m_inv_bmp, bmp), be)
+    w = rns_elementwise("mul", v, m_inv, be)
+    bwd = ExtensionPair(bmp, bm)
     if ctx.variant == "kawamura":
-        return MontPair(extend_kawamura(w, ctx.bwd, ctx.kparams, be), w)
-    return MontPair(extend_szabo_tanaka(w, ctx.bwd, be), w)
+        return MontPair(extend_kawamura(w, bwd, ctx.kparams, be), w)
+    return MontPair(extend_szabo_tanaka(w, bwd, be), w)
 
 
 FUSED_CASES = (

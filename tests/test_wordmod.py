@@ -193,6 +193,21 @@ def test_chain_passes_no_float_modulus_the_helper_rejects():
             assert chain_accepts(cls(8), moduli, call) <= accepted, (cls.kind, op)
 
 
+def test_pm_check_base_names_the_first_non_pm_channel():
+    """check_base tests each channel against the scalar ops' bounds and
+    words the error through ``_check_modulus``: an even c, then a
+    c >= 2^(w/2), each named, the first bad channel first."""
+    be = PseudoMersenne(8)
+    assert be.check_base(build_base(W8_PM_MODULI, 8)) == W8_PM_MODULI
+    for moduli, bad in (
+        ((255, 253, 254), 254),  # c = 2, even
+        ((255, 239, 253), 239),  # c = 17 >= 2^4
+        ((255, 254, 239), 254),
+    ):
+        with pytest.raises(ValueError, match=f"modulus {bad} is not pseudo-Mersenne"):
+            be.check_base(build_base(moduli, 8))
+
+
 def test_width_validation():
     with pytest.raises(ValueError, match="width"):
         make_backend("modulo", 4)
