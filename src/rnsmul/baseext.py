@@ -63,18 +63,23 @@ class ExtensionPair:
 class KawamuraParams:
     """Fixed-point accumulator configuration for the k estimate.
 
-    alpha_fp is the initial offset in q fractional bits; eps bounds the
-    total truncation error n*(2^-q + c_max*2^-w).  Exactness of the
-    estimate requires eps <= alpha, checked at construction, and input
-    value < (1-alpha)*M.
+    alpha_fp is the initial offset alpha in q fractional bits.  The
+    estimate is exact for inputs below (1-alpha)*M when the truncation
+    error eps = n*(2^-q + c_max*2^-w) is at most alpha (Kawamura et al.,
+    EUROCRYPT 2000).  Every instance checks 1 <= q <= w, 0 <= alpha_fp <
+    2^q and eps <= alpha where it is made.
     """
 
     base: RnsBase
     q: int
     alpha_fp: int
-    eps: Fraction
 
     def __post_init__(self):
+        q, w = self.q, self.base.w
+        if not 1 <= q <= w:
+            raise ValueError(f"accumulator bits q={q} must be in [1, w={w}]")
+        if not 0 <= self.alpha_fp < 1 << q:
+            raise ValueError(f"offset alpha={self.alpha} on q={q} bits must be in [0, 1)")
         if self.eps > self.alpha:
             raise ValueError(
                 f"accumulator error bound eps={float(self.eps):.4f} exceeds "
@@ -85,18 +90,18 @@ class KawamuraParams:
     def alpha(self) -> Fraction:
         return Fraction(self.alpha_fp, 1 << self.q)
 
+    @property
+    def eps(self) -> Fraction:
+        n, w = self.base.n, self.base.w
+        c_max = (1 << w) - min(self.base.moduli)
+        return Fraction(n, 1 << self.q) + Fraction(n * c_max, 1 << w)
+
     @classmethod
     def for_base(
         cls, base: RnsBase, q: int = 8, alpha: Fraction = Fraction(1, 2)
     ) -> "KawamuraParams":
-        if not 1 <= q <= base.w:
-            raise ValueError(f"accumulator bits q={q} must be in [1, w={base.w}]")
-        if not 0 <= alpha < 1:
-            raise ValueError(f"offset alpha={alpha} must be in [0, 1)")
-        alpha_fp = round(alpha * (1 << q))
-        c_max = max((1 << base.w) - m for m in base.moduli)
-        eps = Fraction(base.n, 1 << q) + Fraction(base.n * c_max, 1 << base.w)
-        return cls(base, q, alpha_fp, eps)
+        """The params for base with alpha rounded to q bits."""
+        return cls(base, q, round(alpha * 2**q))
 
     def check(self, base: RnsBase) -> None:
         """That these params were built for base."""

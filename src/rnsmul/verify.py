@@ -66,13 +66,14 @@ def _check_extensions(
     res: SuiteResult, pair, be, xs, m_e=None, kparams=None, bi=True
 ) -> None:
     """Szabo-Tanaka, and where asked Shenoy-Kumaresan under m_e,
-    Bajard-Imbert's excess and Kawamura inside its window 2x < M, for each
-    x in xs against x's residues on the destination base.
+    Bajard-Imbert's excess and Kawamura inside its window x < (1-alpha)*M,
+    for each x in xs against x's residues on the destination base.
 
     Bajard-Imbert returns x + lambda*M read modulo M', which wraps when M' is
     not much larger than M, so lambda is taken as (v - x) * M^-1 mod M'."""
     src, dst = pair.src, pair.dst
     m_inv = pow(src.M, -1, dst.M)
+    window = math.ceil((1 - kparams.alpha) * src.M) if kparams else 0
     for x in xs:
         xi = rnscore.to_rns(x, src)
         want = tuple(x % m for m in dst.moduli)
@@ -87,7 +88,7 @@ def _check_extensions(
             v = crt_value(bi_x.residues, dst.moduli)
             lam = (v - x) * m_inv % dst.M
             res.check(lam <= src.n - 1, f"BI excess {lam} out of range at {at}")
-        if kparams is not None and 2 * x < src.M:
+        if x < window:
             ka = baseext.extend_kawamura(xi, pair, kparams, be)
             res.check(ka.residues == want, f"Kawamura wrong at {at}")
 

@@ -7,22 +7,14 @@ Three interchangeable strategies compute (a op b) mod m on w-bit words:
 * ``PseudoMersenne`` -- division-free folding for moduli m = 2^w - c,
 * ``InstructionSim`` -- fused modular instructions, one counter tick per op.
 
-The strategies return identical values on identical inputs and differ only
-in what one modular add, sub, mul or reduction costs.  So the value path is
-written once, in ``WordModBackend``, and a kind is a row of
-``WordModBackend.COSTS`` (the counters one op of each class ticks) plus the
-moduli it accepts, held as bounds computed once per backend: a scalar op
-checks its modulus and operands in one comparison chain and runs the
-validation helpers, which word the errors, only when that chain fails.
-``PseudoMersenne`` narrows the accepted moduli to its form and adds
-``pm_reduce``, the folding reduction whose op stream the "pm" row of "mul"
-counts.
-
-Multi-channel values are computed by the layers that own their tables
-(``rnscore``, ``baseext``, ``modmul``); a backend only counts the op chains
-they stand for (``count_dot_mods``, ``count_mrs_chain``).  Backends own
-their modulus bounds and mutable counters and nothing else, so one
-instance must not be shared between threads.
+The strategies return identical values on identical inputs, so the value
+path is written once, in ``WordModBackend``, and a kind is its row of
+``WordModBackend.COSTS`` (the counters one op of each class ticks) and its
+modulus bounds.  Multi-channel values are computed by the layers that own
+their tables (``rnscore``, ``baseext``, ``modmul``); a backend only counts
+the op chains they stand for.  A backend owns its bounds and mutable
+counters and nothing else, so one instance must not be shared between
+threads.
 """
 
 from __future__ import annotations
@@ -104,11 +96,12 @@ class WordModBackend:
     gate accepting an arbitrary w-bit word (it canonicalizes words crossing
     between channels with different moduli).
 
-    A kind is its ``COSTS`` row plus the moduli it accepts: the odd ones
-    or all of them, from ``_m_min`` to ``_m_max``.  Each scalar op tests
-    those bounds and its operands in one comparison chain; only when the
-    chain fails does it call ``_check_reduced``/``_check_modulus``, which
-    raise the error.  A value the chain passes the helpers pass too.
+    A kind is its ``COSTS`` row and its modulus bounds, computed once per
+    backend: m from ``_m_min`` to ``_m_max``, odd if ``_m_odd``.  Every
+    modulus check reads them.  A scalar op tests them and its operands in
+    one comparison chain, and calls the helpers that word the errors only
+    when the chain fails; ``check_base`` tests a base's width, then its
+    channels.
 
     Every op counts one event of its class; the chain counters count the
     events of a whole op chain at once.  ``counters`` is derived on each
@@ -118,6 +111,8 @@ class WordModBackend:
     ``tally`` reads the events and raw ticks of a fixed op sequence counted
     on a scratch backend, and ``charge`` adds them to another in one step.
     """
+
+    misfit = "out of range"  # what _check_modulus calls a rejected modulus
 
     # kind -> op class -> counter deltas of one op
     COSTS = {
@@ -148,10 +143,7 @@ class WordModBackend:
 
     def __init__(self, w: int = 64):
         self.width = check_width(w)
-        # the accepted moduli: 2 <= m <= 2^w - 1, odd ones only if _m_odd;
-        # the top is inclusive and parity is tested with %, so a float that
-        # is no exact int can fail the chain but never passes what the
-        # helpers reject
+        # the accepted moduli: 2 <= m <= 2^w - 1, odd ones only if _m_odd
         self._m_min, self._m_max, self._m_odd = 2, (1 << w) - 1, 0
         # the cost rows flattened to (counter, op index, delta) terms
         self._terms = [
@@ -164,10 +156,15 @@ class WordModBackend:
     # -- validation helpers ------------------------------------------------
 
     def _check_modulus(self, m: int) -> None:
-        if m < 2:
-            raise ValueError(f"modulus must be >= 2, got {m}")
-        if m >= (1 << self.width):
-            raise ValueError(f"modulus {m} does not fit in {self.width} bits")
+        if not (self._m_min <= m <= self._m_max and m % 2 >= self._m_odd):
+            raise ValueError(
+                f"modulus {m} is {self.misfit} at w={self.width}: need "
+                f"{'odd ' * self._m_odd}m in [{self._m_min}, {self._m_max}]"
+            )
+
+    def _check_word(self, a: int) -> None:
+        if not 0 <= a < (1 << self.width):
+            raise ValueError(f"redmod operand {a} exceeds {self.width} bits")
 
     def _check_reduced(self, a: int, b: int, m: int) -> None:
         self._check_modulus(m)
@@ -177,10 +174,17 @@ class WordModBackend:
             )
 
     def check_base(self, base):
-        """Validate a base for this backend and return its moduli."""
+        """Validate a base for this backend and return its moduli: its
+        width, then every channel against the modulus bounds, the first
+        bad channel named."""
         if base.w != self.width:
             raise ValueError(f"base has w={base.w}, backend expects w={self.width}")
-        return base.moduli
+        mods = base.moduli
+        # every channel is odd exactly when their product M is
+        if min(mods) < self._m_min or max(mods) > self._m_max or base.M % 2 < self._m_odd:
+            for m in mods:
+                self._check_modulus(m)
+        return mods
 
     # -- scalar operations ---------------------------------------------------
 
@@ -218,8 +222,7 @@ class WordModBackend:
             and 0 <= a <= self._m_max
         ):
             self._check_modulus(m)
-            if not 0 <= a < (1 << self.width):
-                raise ValueError(f"redmod operand {a} exceeds {self.width} bits")
+            self._check_word(a)
         self.n_red += 1
         return a % m
 
@@ -268,8 +271,7 @@ class WordModBackend:
         and n-1 addmod, plus, when a quotient k is given, redmod(k), a
         mulmod by M and a submod.  k keeps redmod's contract: a w-bit word."""
         if k is not None:
-            if not 0 <= k < (1 << self.width):
-                raise ValueError(f"redmod operand {k} exceeds {self.width} bits")
+            self._check_word(k)
             self.n_red += c
             self.n_mul += c
             self.n_sub += c
@@ -295,29 +297,18 @@ class NaiveModulo(WordModBackend):
 class PseudoMersenne(WordModBackend):
     """Folding reduction for pseudo-Mersenne moduli m = 2^w - c.
 
-    Using any modulus that is not pseudo-Mersenne form is a configuration
-    error; ``check_base`` tests every channel against the same bounds as
-    the scalar ops.  pm_reduce is the folding reduction the cost row of "mul"
-    describes, tested against ``%`` on its own.
+    Its bounds are pm_modulus's set: the odd m = 2^w - c with
+    1 <= c < 2^(w/2); any other modulus is a configuration error.
+    pm_reduce is the folding reduction the cost row of "mul" describes,
+    tested against ``%`` on its own.
     """
 
     kind = "pm"
+    misfit = "not pseudo-Mersenne"
 
     def __init__(self, w: int = 64):
         super().__init__(w)
-        # the odd m = 2^w - c with 1 <= c < 2^(w/2): pm_modulus's set
         self._m_min, self._m_odd = (1 << w) - (1 << (w // 2)) + 1, 1
-
-    def _check_modulus(self, m: int) -> None:
-        # pseudo-Mersenne form implies 2 <= m < 2^w
-        pm_modulus(m, self.width)
-
-    def check_base(self, base):
-        moduli = super().check_base(base)
-        for m in moduli:
-            if not (self._m_min <= m <= self._m_max and m % 2):
-                self._check_modulus(m)  # words the error
-        return moduli
 
     def pm_reduce(self, a: int, pm: PmModulus) -> int:
         """Reduce a double-width value to the canonical residue mod pm.m.

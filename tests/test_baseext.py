@@ -73,6 +73,14 @@ def test_kawamura_params_config_errors():
         KawamuraParams.for_base(SRC2, q=9)
     with pytest.raises(ValueError, match="alpha"):
         KawamuraParams.for_base(SRC2, alpha=Fraction(3, 2))
+    # built directly, the params are checked just the same
+    with pytest.raises(ValueError, match="eps"):
+        KawamuraParams(SRC2, 1, 1)
+    # 999/1000 rounds to 1 on q=8 bits, which leaves no window
+    with pytest.raises(ValueError, match="alpha"):
+        KawamuraParams.for_base(SRC2, alpha=Fraction(999, 1000))
+    with pytest.raises(ValueError, match="q="):
+        KawamuraParams.for_base(SRC2, q=0)
 
 
 def test_k_hat_zero():

@@ -4,11 +4,13 @@ checked against the big-integer oracle by mont_mul(check=True)."""
 
 import math
 import random
+from fractions import Fraction
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from rnsmul.basegen import split_bases
+from rnsmul.baseext import KawamuraParams
 from rnsmul.modmul import (
     VARIANTS,
     MontgomeryContext,
@@ -77,6 +79,9 @@ def contexts(draw):
 )
 @given(contexts(), st.data())
 def test_mont_mul_and_exp_on_random_bases(case, data):
+    """Every variant with its default params, then Kawamura with any q and
+    alpha: for_base or the context rejects them, or every product passes
+    the oracle, its window included."""
     w, pm, bm, bmp, p = case
     kinds = BACKEND_KINDS if pm else ("modulo", "inst")
     for variant in VARIANTS:
@@ -90,3 +95,13 @@ def test_mont_mul_and_exp_on_random_bases(case, data):
             z = mont_mul(ctx, x, y, be, check=True)
             mont_mul(ctx, z, x, be, check=True)
             assert mont_exp(ctx, a, e, be, check=True) == pow(a, e, p)
+    q = data.draw(st.integers(1, w), label="q")
+    alpha = Fraction(data.draw(st.integers(0, 1 << 10), label="alpha * 2^10"), 1 << 10)
+    try:
+        ctx = MontgomeryContext(p, bm, bmp, "k", KawamuraParams.for_base(bmp, q, alpha))
+    except ValueError as exc:
+        assert "eps" in str(exc) or "alpha" in str(exc), exc
+        return
+    for kind in kinds:
+        be = make_backend(kind, w)
+        mont_mul(ctx, mont_mul(ctx, x, y, be, check=True), x, be, check=True)

@@ -119,16 +119,29 @@ SCALAR_CALLS = {
 }
 
 
-def helper_accepts(be, moduli):
-    """The moduli ``_check_modulus`` lets through."""
+def accepts(check, moduli):
+    """The moduli check(m) lets through without a ValueError."""
     ok = set()
     for m in moduli:
         try:
-            be._check_modulus(m)
+            check(m)
         except ValueError:
             continue
         ok.add(m)
     return ok
+
+
+def helper_accepts(be, moduli):
+    """The moduli ``_check_modulus`` lets through."""
+    return accepts(be._check_modulus, moduli)
+
+
+def form_accepts(be, moduli):
+    """The moduli the kind's form admits, stated apart from its bounds:
+    ``pm_modulus`` for pm, 2 <= m < 2^w for the others."""
+    if be.kind == "pm":
+        return accepts(lambda m: pm_modulus(m, be.width), moduli)
+    return {m for m in moduli if 2 <= m < 1 << be.width}
 
 
 def chain_accepts(be, moduli, call):
@@ -145,13 +158,14 @@ def chain_accepts(be, moduli, call):
 
 
 def test_chain_bounds_match_helpers_small_widths():
-    """Every modulus in [0, 2^w + 2], every kind, w = 8..16: the one-chain
-    test of addmod and of redmod accepts exactly what the helper does."""
+    """Every modulus in [0, 2^w + 2], every kind, w = 8..16: the helper
+    accepts exactly the kind's form, and the one-chain test of addmod and
+    of redmod exactly what the helper does."""
     for cls in BACKEND_KINDS.values():
         for w in range(8, 17):
             moduli = range((1 << w) + 3)
             accepted = helper_accepts(cls(w), moduli)
-            assert accepted
+            assert accepted == form_accepts(cls(w), moduli), (cls.kind, w)
             for op in ("addmod", "redmod"):
                 assert chain_accepts(cls(w), moduli, SCALAR_CALLS[op]) == accepted, (
                     cls.kind, w, op)
@@ -160,7 +174,7 @@ def test_chain_bounds_match_helpers_small_widths():
 @pytest.mark.parametrize("w", [31, 32, 63, 64])
 def test_chain_bounds_match_helpers_at_edges(w):
     """The edges of both bound sets at large w, odd and even c, and a
-    seeded sample, on all four ops."""
+    seeded sample, on all four ops and against the kind's form."""
     rng = random.Random(w)
     top, half = 1 << w, 1 << (w // 2)
     moduli = {0, 1, 2, 3, 4, 5, top - 1, top, top + 1, top + 2}
@@ -170,6 +184,7 @@ def test_chain_bounds_match_helpers_at_edges(w):
     moduli |= {top - rng.randrange(1, 2 * half) for _ in range(100)}
     for cls in BACKEND_KINDS.values():
         accepted = helper_accepts(cls(w), moduli)
+        assert accepted == form_accepts(cls(w), moduli), cls.kind
         assert top - 1 in accepted
         for op, call in SCALAR_CALLS.items():
             assert chain_accepts(cls(w), moduli, call) == accepted, (cls.kind, op)
@@ -185,18 +200,18 @@ def test_chain_bounds_match_helpers_at_edges(w):
 
 def test_chain_passes_no_float_modulus_the_helper_rejects():
     """A float modulus is not an exact int: the chain may send it to the
-    helper, but never passes one the helper rejects."""
+    helper, but never passes one the helper or the kind's form rejects."""
     moduli = [1.5, 2.0, 2.5, 241.0, 250.0, 251.0, 251.5, 254.5, 255.0, 255.5, 256.0]
     for cls in BACKEND_KINDS.values():
-        accepted = helper_accepts(cls(8), moduli)
+        accepted = helper_accepts(cls(8), moduli) & form_accepts(cls(8), moduli)
         for op, call in SCALAR_CALLS.items():
             assert chain_accepts(cls(8), moduli, call) <= accepted, (cls.kind, op)
 
 
 def test_pm_check_base_names_the_first_non_pm_channel():
-    """check_base tests each channel against the scalar ops' bounds and
-    words the error through ``_check_modulus``: an even c, then a
-    c >= 2^(w/2), each named, the first bad channel first."""
+    """check_base tests each channel against the scalar ops' bounds
+    through ``_check_modulus``: an even c, then a c >= 2^(w/2), each
+    named, the first bad channel first."""
     be = PseudoMersenne(8)
     assert be.check_base(build_base(W8_PM_MODULI, 8)) == W8_PM_MODULI
     for moduli, bad in (
