@@ -26,7 +26,7 @@ from .wordmod import WordModBackend
 
 
 class ExtensionPair:
-    """A checked pair of bases for extending from src to dst.
+    """A checked pair of bases, src to dst: one width, no shared factor.
 
     Holds no table: Szabo-Tanaka reduces the value its mixed-radix chain
     ends with, the CRT-based extensions sum against src.Mi.
@@ -42,21 +42,6 @@ class ExtensionPair:
             )
         self.src = src
         self.dst = dst
-
-    def sk_inverse(self, m_e: int) -> int:
-        """M^-1 mod m_e for Shenoy-Kumaresan, after checking m_e."""
-        src = self.src
-        if m_e <= src.n:
-            raise ValueError(
-                f"extra modulus {m_e} must exceed the channel count {src.n} "
-                f"so the CRT quotient stays recoverable"
-            )
-        if m_e >= (1 << src.w):
-            raise ValueError(f"extra modulus {m_e} does not fit in w={src.w} bits")
-        g = math.gcd(m_e, src.M)
-        if g != 1:
-            raise ValueError(f"extra modulus {m_e} shares factor {g} with the base")
-        return pow(src.M % m_e, -1, m_e)
 
 
 @dataclass(frozen=True)
@@ -239,13 +224,22 @@ def extend_shenoy_kumaresan(
     Requires x_e = value(x) mod m_e.  k is recovered from
     k = (sum_i xi_i*(M/m_i) - x) * M^-1 mod m_e, which is exact because
     k < n < m_e; the destination residues then follow as in the other
-    correction-based extensions.
+    correction-based extensions.  m_e is judged by the backend's modulus
+    bounds before anything is counted.
     """
     _check_operand(x, pair, backend)
-    m_inv_e = pair.sk_inverse(m_e)
+    src = pair.src
+    if m_e <= src.n:
+        raise ValueError(
+            f"extra modulus {m_e} must exceed the channel count {src.n} "
+            f"so the CRT quotient stays recoverable"
+        )
+    backend.check_modulus(m_e)
+    if (g := math.gcd(m_e, src.M)) != 1:
+        raise ValueError(f"extra modulus {m_e} shares factor {g} with the base")
     if not 0 <= x_e < m_e:
         raise ValueError(f"x_e={x_e} is not a residue mod {m_e}")
-    src = pair.src
+    m_inv_e = pow(src.M % m_e, -1, m_e)
     xi = _xi_vec(x.residues, src, backend)
     backend.count_dot_mods(src.n, 1)
     sum_e = sum(map(mul, xi, src.Mi)) % m_e

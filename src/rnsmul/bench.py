@@ -14,7 +14,7 @@ from .basegen import RnsBase, generate_pm_moduli, split_bases
 from .costmodel import MODELS, PRESETS, CostReport, class_counts, estimate, ratio_report
 from .modmul import VARIANT_ALIASES, VARIANTS, MontgomeryContext, mont_mul
 from .modmul import range_needs, to_mont
-from .wordmod import BACKEND_KINDS, check_width, make_backend, pm_modulus
+from .wordmod import BACKEND_KINDS, check_width, make_backend
 
 CSV_HEADER = (
     "n,w,backend,variant,model,preset,"
@@ -66,10 +66,11 @@ class BenchConfig:
                         f"unknown {what} {name!r}, expected one of {sorted(known)}"
                     )
         if pool is not None:
-            if "pm" in self.backends:
-                # the pm backend takes pseudo-Mersenne moduli only
+            # each requested kind judges the pool by its own modulus bounds
+            for kind in self.backends:
+                check = make_backend(kind, self.w).check_modulus
                 for m in pool:
-                    pm_modulus(m, self.w)
+                    check(m)
             check_pool_range(pool, len(pool) // 2, self.w)
         # each name once, in order, variant aliases resolved
         self.backends = tuple(dict.fromkeys(self.backends))

@@ -1,9 +1,11 @@
 """RNS Montgomery modular multiplication over a pair of coprime bases.
 
-One multiplication computes z = x*y*M^-1 mod p without any big-integer
-work: channel products, one approximate extension (Bajard-Imbert) to carry
+One multiplication computes z = x*y*M^-1 mod p, counted as word operations
+only: channel products, one approximate extension (Bajard-Imbert) to carry
 the Montgomery quotient across, the exact division by M in the second
 base, and one correction-quality extension (Szabo-Tanaka or Kawamura) back.
+The values themselves take two big-integer CRT sums, each reduced into the
+other base through its remainder tree; the residues equal the word chains'.
 
 Values in the pipeline are bounded by (n+2)*p rather than the textbook 2p:
 the approximate first extension leaves an excess of up to (n-1)*M on the
@@ -247,8 +249,6 @@ def mont_exp(
     check: bool = False,
 ) -> int:
     """a^e mod p by square-and-multiply entirely inside the domain."""
-    if not 0 <= a < ctx.p:
-        raise ValueError(f"base {a} not reduced mod p={ctx.p}")
     if e < 0:
         raise ValueError("exponent must be non-negative")
     acc = to_mont(ctx, 1)

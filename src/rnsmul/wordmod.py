@@ -100,8 +100,8 @@ class WordModBackend:
     backend: m from ``_m_min`` to ``_m_max``, odd if ``_m_odd``.  Every
     modulus check reads them.  A scalar op tests them and its operands in
     one comparison chain, and calls the helpers that word the errors only
-    when the chain fails; ``check_base`` tests a base's width, then its
-    channels.
+    when the chain fails; ``check_modulus`` judges one modulus, and
+    ``check_base`` a base's width, then its channels.
 
     Every op counts one event of its class; the chain counters count the
     events of a whole op chain at once.  ``counters`` is derived on each
@@ -112,7 +112,7 @@ class WordModBackend:
     on a scratch backend, and ``charge`` adds them to another in one step.
     """
 
-    misfit = "out of range"  # what _check_modulus calls a rejected modulus
+    misfit = "out of range"  # what check_modulus calls a rejected modulus
 
     # kind -> op class -> counter deltas of one op
     COSTS = {
@@ -155,7 +155,8 @@ class WordModBackend:
 
     # -- validation helpers ------------------------------------------------
 
-    def _check_modulus(self, m: int) -> None:
+    def check_modulus(self, m: int) -> None:
+        """That m lies within this kind's modulus bounds."""
         if not (self._m_min <= m <= self._m_max and m % 2 >= self._m_odd):
             raise ValueError(
                 f"modulus {m} is {self.misfit} at w={self.width}: need "
@@ -167,7 +168,7 @@ class WordModBackend:
             raise ValueError(f"redmod operand {a} exceeds {self.width} bits")
 
     def _check_reduced(self, a: int, b: int, m: int) -> None:
-        self._check_modulus(m)
+        self.check_modulus(m)
         if not (0 <= a < m and 0 <= b < m):
             raise ValueError(
                 f"unreduced operand for modulus {m}: a={a}, b={b} (caller bug)"
@@ -183,7 +184,7 @@ class WordModBackend:
         # every channel is odd exactly when their product M is
         if min(mods) < self._m_min or max(mods) > self._m_max or base.M % 2 < self._m_odd:
             for m in mods:
-                self._check_modulus(m)
+                self.check_modulus(m)
         return mods
 
     # -- scalar operations ---------------------------------------------------
@@ -221,7 +222,7 @@ class WordModBackend:
             self._m_min <= m <= self._m_max and m % 2 >= self._m_odd
             and 0 <= a <= self._m_max
         ):
-            self._check_modulus(m)
+            self.check_modulus(m)
             self._check_word(a)
         self.n_red += 1
         return a % m

@@ -188,6 +188,16 @@ def test_shenoy_kumaresan_config_errors():
         extend_shenoy_kumaresan(to_rns(1, src), 1 % 9, 9, pair, be)
     with pytest.raises(ValueError, match="residue"):
         extend_shenoy_kumaresan(to_rns(1, src), 7, 7, pair, be)
+    # m_e is judged by the backend's own bounds before anything is counted
+    pm_pair = ExtensionPair(SRC2, build_base((253, 241), 8))
+    for kind, pair, m_e, match in (
+        ("pm", pm_pair, 239, "modulus 239 is not pseudo-Mersenne"),  # c = 17
+        ("modulo", PAIR22, 256, "modulus 256 is out of range at w=8"),
+    ):
+        be = make_backend(kind, 8)
+        with pytest.raises(ValueError, match=match):
+            extend_shenoy_kumaresan(to_rns(1000, pair.src), 1000 % m_e, m_e, pair, be)
+        assert be.read_counters().total() == 0, kind
 
 
 def test_wrong_base_rejected():

@@ -60,10 +60,11 @@ def contexts(draw):
     bm, bmp = split_bases(pool, w)
     p_max = min((bm.M - 1) // ((n + 2) ** 2), (bmp.M - 1) // (2 * (n + 2)))
     assume(p_max >= 3)
-    # a bit length first, so that wide p are drawn as often as narrow ones
+    # a bit length first, so that wide p are drawn as often as narrow ones;
+    # or p at the top of the sizing range, where Kawamura's window is tightest
     bits = draw(st.integers(2, p_max.bit_length()), label="bits of p")
     p_lo, p_hi = max(3, 1 << (bits - 1)), min(p_max, (1 << bits) - 1)
-    p = draw(st.integers(p_lo, p_hi), label="p") | 1
+    p = draw(st.integers(p_lo, p_hi) | st.just(p_max), label="p") | 1
     if p > p_max:
         p -= 2
     assume(math.gcd(p, bm.M * bmp.M) == 1)
@@ -81,7 +82,9 @@ def contexts(draw):
 def test_mont_mul_and_exp_on_random_bases(case, data):
     """Every variant with its default params, then Kawamura with any q and
     alpha: for_base or the context rejects them, or every product passes
-    the oracle, its window included."""
+    the oracle, its window included.  Sometimes alpha sits on q = w bits at
+    the edge of the window that holds the bound (n+2)*p, which the context
+    accepts, or one step past it, which the context rejects."""
     w, pm, bm, bmp, p = case
     kinds = BACKEND_KINDS if pm else ("modulo", "inst")
     for variant in VARIANTS:
@@ -95,13 +98,25 @@ def test_mont_mul_and_exp_on_random_bases(case, data):
             z = mont_mul(ctx, x, y, be, check=True)
             mont_mul(ctx, z, x, be, check=True)
             assert mont_exp(ctx, a, e, be, check=True) == pow(a, e, p)
-    q = data.draw(st.integers(1, w), label="q")
-    alpha = Fraction(data.draw(st.integers(0, 1 << 10), label="alpha * 2^10"), 1 << 10)
+    step = data.draw(st.sampled_from((None, 0, 1)), label="steps past the edge")
+    if step is None:
+        q = data.draw(st.integers(1, w), label="q")
+        alpha = Fraction(data.draw(st.integers(0, 1 << 10), label="alpha * 2^10"), 1 << 10)
+    else:
+        # the largest alpha with bound <= (1-alpha)*M', plus step
+        q, edge = w, ((bmp.M - ctx.bound) << w) // bmp.M
+        alpha = Fraction(edge + step, 1 << w)
     try:
-        ctx = MontgomeryContext(p, bm, bmp, "k", KawamuraParams.for_base(bmp, q, alpha))
+        kparams = KawamuraParams.for_base(bmp, q, alpha)
     except ValueError as exc:
         assert "eps" in str(exc) or "alpha" in str(exc), exc
         return
+    try:
+        ctx = MontgomeryContext(p, bm, bmp, "k", kparams)
+    except ValueError as exc:
+        assert step != 0 and "exactness window" in str(exc), exc
+        return
+    assert step != 1, f"alpha={alpha} one step past the edge was accepted"
     for kind in kinds:
         be = make_backend(kind, w)
         mont_mul(ctx, mont_mul(ctx, x, y, be, check=True), x, be, check=True)

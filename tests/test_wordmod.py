@@ -132,8 +132,8 @@ def accepts(check, moduli):
 
 
 def helper_accepts(be, moduli):
-    """The moduli ``_check_modulus`` lets through."""
-    return accepts(be._check_modulus, moduli)
+    """The moduli ``check_modulus`` lets through."""
+    return accepts(be.check_modulus, moduli)
 
 
 def form_accepts(be, moduli):
@@ -146,9 +146,9 @@ def form_accepts(be, moduli):
 
 def chain_accepts(be, moduli, call):
     """The moduli an op passes on its comparison chain alone: a failing
-    chain calls ``_check_modulus``, here replaced by a log."""
+    chain calls ``check_modulus``, here replaced by a log."""
     log = []
-    be._check_modulus = log.append
+    be.check_modulus = log.append
     for m in moduli:
         try:
             call(be, m)
@@ -190,7 +190,7 @@ def test_chain_bounds_match_helpers_at_edges(w):
             assert chain_accepts(cls(w), moduli, call) == accepted, (cls.kind, op)
         # the largest operands an accepted modulus takes pass the chain too
         be = cls(w)
-        be._check_modulus = be._check_reduced = None
+        be.check_modulus = be._check_reduced = None
         for m in accepted:
             be.addmod(m - 1, m - 1, m)
             be.submod(0, m - 1, m)
@@ -210,7 +210,7 @@ def test_chain_passes_no_float_modulus_the_helper_rejects():
 
 def test_pm_check_base_names_the_first_non_pm_channel():
     """check_base tests each channel against the scalar ops' bounds
-    through ``_check_modulus``: an even c, then a c >= 2^(w/2), each
+    through ``check_modulus``: an even c, then a c >= 2^(w/2), each
     named, the first bad channel first."""
     be = PseudoMersenne(8)
     assert be.check_base(build_base(W8_PM_MODULI, 8)) == W8_PM_MODULI

@@ -130,7 +130,8 @@ MUTANTS = (
         "if self.kparams and self.bound > (1 - self.kparams.alpha) * bmp.M:",
         "if False:",
         ("tests/test_modmul.py::"
-         "test_constructor_rejects_kparams_whose_window_misses_the_bound",),
+         "test_constructor_rejects_kparams_whose_window_misses_the_bound",
+         "tests/test_properties.py::test_mont_mul_and_exp_on_random_bases"),
     ),
     Mutant(
         "kawamura-eps-check-removed", BASEEXT,
@@ -140,10 +141,24 @@ MUTANTS = (
     ),
     Mutant(
         "check-base-bounds-removed", WORDMOD,
-        "            for m in mods:\n                self._check_modulus(m)\n",
+        "            for m in mods:\n                self.check_modulus(m)\n",
         "            pass\n",
         ("tests/test_wordmod.py::test_pm_check_base_names_the_first_non_pm_channel",
          "tests/test_modmul.py::test_mont_mul_rejects_pm_backend_on_other_moduli"),
+    ),
+    Mutant(
+        "sk-extra-modulus-unjudged", BASEEXT,
+        "    backend.check_modulus(m_e)\n", "",
+        ("tests/test_baseext.py::test_shenoy_kumaresan_config_errors",),
+    ),
+    Mutant(
+        "bench-pool-unjudged", "src/rnsmul/bench.py",
+        "            for kind in self.backends:\n"
+        "                check = make_backend(kind, self.w).check_modulus\n"
+        "                for m in pool:\n"
+        "                    check(m)\n",
+        "",
+        ("tests/test_cli.py::test_bench_base_file_pm_needs_pseudo_mersenne_pool",),
     ),
 )
 
