@@ -225,7 +225,9 @@ def extend_shenoy_kumaresan(
     k = (sum_i xi_i*(M/m_i) - x) * M^-1 mod m_e, which is exact because
     k < n < m_e; the destination residues then follow as in the other
     correction-based extensions.  m_e is judged by the backend's modulus
-    bounds before anything is counted.
+    bounds before anything is counted.  A recovered k >= n raises, since
+    x_e cannot then be value(x) mod m_e; a wrong x_e still passes, with a
+    wrong extension, when its k lands below n, about n/m_e of the time.
     """
     _check_operand(x, pair, backend)
     src = pair.src
@@ -244,6 +246,11 @@ def extend_shenoy_kumaresan(
     backend.count_dot_mods(src.n, 1)
     sum_e = sum(map(mul, xi, src.Mi)) % m_e
     k = backend.mulmod(backend.submod(sum_e, x_e, m_e), m_inv_e, m_e)
+    if k >= src.n:
+        raise ValueError(
+            f"recovered CRT quotient k={k} is not below n={src.n}: "
+            f"x_e={x_e} is not the value's residue mod {m_e}"
+        )
     dst = pair.dst
     backend.count_dot_mods(src.n, dst.n, k)
     return RnsInt(tuple(crt_residues(xi, src, dst, k)), dst)

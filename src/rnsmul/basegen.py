@@ -2,8 +2,9 @@
 
 A base is an ordered set of pairwise-coprime w-bit moduli together with
 every table the conversions and extensions need.  Tables are computed with
-arbitrary-precision arithmetic once: the CRT constants at construction, the
-mixed-radix and remainder-tree tables on first read.
+arbitrary-precision arithmetic once: M, M/m_i and (M/m_i) mod m_i at
+construction, the inverses and the mixed-radix and remainder-tree tables
+on first read.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ class RnsBase:
         moduli:    the n channel moduli, descending.
         M:         product of the moduli (the dynamic range).
         Mi:        M // m_i per channel.
-        inv_Mi:    ((M / m_i) mod m_i)^-1 mod m_i per channel.
+        Mi_mod:    r_i = (M / m_i) mod m_i per channel.
+        inv_Mi:    r_i^-1 mod m_i per channel, built on first read.
         weights:   the mixed-radix weights W_i = m_0*...*m_{i-1}, W_0 = 1,
                    built on first read.
         winv:      W_i^-1 mod m_i per channel (Garner's digit constants),
@@ -61,6 +63,11 @@ class RnsBase:
                    every other channel, built on first read.
         tree:      the remainder tree of the moduli (Bernstein 2008),
                    built on first read; ``residues`` reduces through it.
+
+    Construction builds M, Mi and Mi_mod and takes no inverse.  The
+    moduli are pairwise coprime exactly when every gcd(r_i, m_i) is 1, a
+    gcd of two words; a base that fails it, or has a modulus outside
+    [2, 2^w), is walked channel by channel to name the first fault.
 
     Immutable after construction; safe to share between threads.  A
     table built on first read is deterministic, so a race can at most
@@ -72,27 +79,23 @@ class RnsBase:
         moduli = tuple(int(m) for m in moduli)
         if len(moduli) < 2:
             raise ValueError(f"need at least 2 moduli, got {len(moduli)}")
-        M = 1
-        for j, m in enumerate(moduli):
-            if not 2 <= m < (1 << w):
-                raise ValueError(f"modulus {m} out of range for w={w}")
-            if math.gcd(m, M) != 1:
-                # name a pair: the gcd with M can exceed their common factor
-                k, g = next(
-                    (k, g) for k in moduli[:j] if (g := math.gcd(k, m)) != 1
-                )
-                raise ValueError(
-                    f"moduli {k} and {m} are not coprime (share factor {g})"
-                )
-            M *= m
+        if min(moduli) < 2 or max(moduli) >= 1 << w:
+            _name_fault(moduli, w)
+        M = math.prod(moduli)
+        Mi = tuple([M // m for m in moduli])
+        Mi_mod = tuple([mi % m for mi, m in zip(Mi, moduli)])
+        if not all(math.gcd(r, m) == 1 for r, m in zip(Mi_mod, moduli)):
+            _name_fault(moduli, w)
         self.w = w
         self.moduli = moduli
         self.n = len(moduli)
         self.M = M
-        self.Mi = tuple(M // m for m in moduli)
-        self.inv_Mi = tuple(
-            pow(mi % m, -1, m) for mi, m in zip(self.Mi, moduli)
-        )
+        self.Mi = Mi
+        self.Mi_mod = Mi_mod
+
+    @cached_property
+    def inv_Mi(self) -> tuple:
+        return tuple([pow(r, -1, m) for r, m in zip(self.Mi_mod, self.moduli)])
 
     @cached_property
     def weights(self) -> tuple:
@@ -119,6 +122,21 @@ class RnsBase:
 
     def __repr__(self):
         return f"RnsBase(n={self.n}, w={self.w}, moduli={list(self.moduli)})"
+
+
+def _name_fault(moduli, w):
+    """Raise for the first channel, in order, that is out of range for w
+    or shares a factor with an earlier one; a base has such a channel."""
+    M = 1
+    for j, m in enumerate(moduli):
+        if not 2 <= m < (1 << w):
+            raise ValueError(f"modulus {m} out of range for w={w}")
+        if math.gcd(m, M) != 1:
+            # name a pair: the gcd with M can exceed their common factor
+            k, g = next((k, g) for k in moduli[:j] if (g := math.gcd(k, m)) != 1)
+            raise ValueError(f"moduli {k} and {m} are not coprime (share factor {g})")
+        M *= m
+    raise AssertionError(f"no fault in {moduli} at w={w}")
 
 
 def _product_tree(mods):

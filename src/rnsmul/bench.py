@@ -130,16 +130,17 @@ def measure_counters(cfg: BenchConfig) -> List[Tuple[int, str, str, object]]:
     for n in cfg.channels:
         bm, bmp = split_bases(cfg.pool[: 2 * n], cfg.w)
         p = pick_modulus(n, cfg.w, random.Random(f"{cfg.seed}:p:{n}"), bm, bmp)
-        contexts = {}  # drops the previous n's contexts before building these
+        contexts = []  # drops the previous n's contexts before building these
         for variant in cfg.variants:
-            ctx = MontgomeryContext(p, bm, bmp, variant)
-            # counters do not depend on the data: one operand, 1 in the domain
-            contexts[variant] = ctx, to_mont(ctx, 1)
+            contexts.append(MontgomeryContext(p, bm, bmp, variant))
+        # counters do not depend on the data: one operand, 1 in the domain,
+        # shared by the variants, whose contexts live on the same bases
+        x = contexts and to_mont(contexts[0], 1)
         for kind in cfg.backends:
-            for variant, (ctx, x) in contexts.items():
+            for ctx in contexts:
                 backend = make_backend(kind, cfg.w)
                 mont_mul(ctx, x, x, backend)
-                out.append((n, kind, variant, backend.read_counters()))
+                out.append((n, kind, ctx.variant, backend.read_counters()))
     return out
 
 

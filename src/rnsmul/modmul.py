@@ -17,7 +17,9 @@ exactness window (1-alpha)*M', which a context checks for its alpha.
 call's op events once, into a charge table (``MontgomeryContext.charges``)
 that serves every backend kind; the values run in merged passes, the
 channel constants folded together as in the Cox-Rower design (Kawamura et
-al., EUROCRYPT 2000) and Bajard-Imbert (IEEE TC 2004).  The op-by-op
+al., EUROCRYPT 2000) and Bajard-Imbert (IEEE TC 2004): with r_i =
+(M/m_i) mod m_i, c_i = -(p*r_i)^-1 on Bm, and c'_j = (M*r'_j)^-1 and
+p*c'_j on Bm', one modular inverse per channel.  The op-by-op
 ``baseext.extend_*`` are the reference.
 """
 
@@ -55,15 +57,21 @@ class MontPair(NamedTuple):
 @lru_cache(maxsize=1)
 def _channel_tables(p, bm, bmp) -> dict:
     """The tables mont_mul reads, shared by every variant's context on
-    (p, bm, bmp) (a base hashes by identity): the fused
-    c_i = -p^-1*(M/m_i)^-1 on Bm, and M^-1 and p*M^-1 on Bm'."""
-    neg_p_inv = [-pow(r, -1, m) % m for r, m in zip(bm.residues(p), bm.moduli)]
-    p_bmp = bmp.residues(p)
-    m_inv = [pow(r, -1, m) for r, m in zip(bmp.residues(bm.M), bmp.moduli)]
+    (p, bm, bmp) (a base hashes by identity), one inverse per channel:
+    c_i = -(p*r_i)^-1 on Bm, c'_j = (M*r'_j)^-1 and p*c'_j on Bm', where
+    r_i = (M/m_i) mod m_i and r'_j = (M'/m'_j) mod m'_j (``Mi_mod``)."""
+    c_bm = [
+        -pow(a * r % m, -1, m) % m
+        for a, r, m in zip(bm.residues(p), bm.Mi_mod, bm.moduli)
+    ]
+    c_bmp = [
+        pow(a * r % m, -1, m)
+        for a, r, m in zip(bmp.residues(bm.M), bmp.Mi_mod, bmp.moduli)
+    ]
     return dict(
-        m_inv_bmp=tuple(m_inv),
-        c_bm=tuple([a * b % m for a, b, m in zip(neg_p_inv, bm.inv_Mi, bm.moduli)]),
-        pm_inv_bmp=tuple([a * b % m for a, b, m in zip(p_bmp, m_inv, bmp.moduli)]),
+        c_bm=tuple(c_bm),
+        c_bmp=tuple(c_bmp),
+        pc_bmp=tuple([a * c % m for a, c, m in zip(bmp.residues(p), c_bmp, bmp.moduli)]),
     )
 
 
@@ -201,9 +209,10 @@ def mont_mul(
     multiple of p, below (n+2)*p, represented on both bases.
 
     On Bm, xi_i = x_i*y_i*c_i; t = sum_i xi_i*M/m_i on Bm' keeps the
-    Bajard-Imbert excess; on Bm', w_j = x'_j*y'_j*M^-1 + t_j*p*M^-1 and
-    xi'_j = w_j*(M'/m'_j)^-1; back on Bm, sum_j xi'_j*M'/m'_j less k*M',
-    with k from the rower accumulator (Kawamura) or exact (Szabo-Tanaka).
+    Bajard-Imbert excess; on Bm', xi'_j = x'_j*y'_j*c'_j + t_j*p*c'_j and
+    the result's w_j = xi'_j*r'_j; back on Bm, sum_j xi'_j*M'/m'_j less
+    k*M', with k from the rower accumulator (Kawamura) or exact
+    (Szabo-Tanaka).  The constants are _channel_tables'.
 
     mont_pair and mont_mul are the only producers of valid pairs; a pair
     whose halves disagree gives a wrong product that only check=True
@@ -223,13 +232,13 @@ def mont_mul(
     ]
     t = crt_residues(xi, bm, bmp)
     mods = bmp.moduli
-    w = [
+    xi = [
         (a * b * c + tj * d) % m
         for a, b, tj, c, d, m in zip(
-            x.in_bmp.residues, y.in_bmp.residues, t, ctx.m_inv_bmp, ctx.pm_inv_bmp, mods
+            x.in_bmp.residues, y.in_bmp.residues, t, ctx.c_bmp, ctx.pc_bmp, mods
         )
     ]
-    xi = [v * c % m for v, c, m in zip(w, bmp.inv_Mi, mods)]
+    w = [v * r % m for v, r, m in zip(xi, bmp.Mi_mod, mods)]
     if ctx.variant == VARIANT_KAWAMURA:
         z = crt_residues(xi, bmp, bm, rower_estimate(xi, ctx.kparams))
     else:

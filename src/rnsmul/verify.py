@@ -200,7 +200,7 @@ def suite_k_hat(seed: int) -> SuiteResult:
     src = RnsBase((251, 247), 8)
     be = make_backend("inst", 8)
     params = KawamuraParams.for_base(src)
-    for x in range(src.M // 2):
+    for x in range(math.ceil((1 - params.alpha) * src.M)):
         xi = rnscore.to_rns(x, src)
         k_hat = baseext.compute_k_hat(xi, params, be)
         k_true = crt_quotient(xi.residues, src.moduli)

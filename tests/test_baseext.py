@@ -177,6 +177,29 @@ def test_shenoy_kumaresan_recovers_k():
         assert crt_quotient(xi.residues, src.moduli) <= src.n - 1
 
 
+@pytest.mark.parametrize("kind", ["modulo", "inst"])
+def test_shenoy_kumaresan_rejects_a_recovered_k_of_n_or_more(kind):
+    pair = ExtensionPair(SRC2, build_base((253, 241), 8))
+    be = make_backend(kind, 8)
+    x = to_rns(40000, SRC2)
+    assert extend_shenoy_kumaresan(x, 40000 % 239, 239, pair, be).residues == (26, 235)
+    with pytest.raises(ValueError, match="k=.* is not below n=2.*x_e=88"):
+        extend_shenoy_kumaresan(x, 40001 % 239, 239, pair, be)
+    # x_e ranges over m_e values and k with it: exactly n of them pass,
+    # the true residue among them
+    src, m_e = build_base((3, 5), 8), 7
+    tiny = ExtensionPair(src, build_base((11, 13), 8))
+    for v in range(src.M):
+        passed = set()
+        for x_e in range(m_e):
+            try:
+                extend_shenoy_kumaresan(to_rns(v, src), x_e, m_e, tiny, be)
+                passed.add(x_e)
+            except ValueError as exc:
+                assert "is not below n=2" in str(exc)
+        assert len(passed) == src.n and v % m_e in passed, v
+
+
 def test_shenoy_kumaresan_config_errors():
     src = build_base((3, 5), 8)
     dst = build_base((11, 13), 8)

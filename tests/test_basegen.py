@@ -93,6 +93,49 @@ def test_build_base_rejects_non_coprime():
         build_base((3, 5, 15), 8)
 
 
+@pytest.mark.parametrize(
+    "moduli, message",
+    [
+        ((9, 5, 7, 12), "moduli 9 and 12 are not coprime (share factor 3)"),
+        ((5, 1), "modulus 1 out of range for w=8"),
+        # both faults: the first channel, in order, that has one is named
+        ((3, 6, 256), "moduli 3 and 6 are not coprime (share factor 3)"),
+        ((3, 256, 6), "modulus 256 out of range for w=8"),
+        ((0, 4, 6), "modulus 0 out of range for w=8"),
+        ((4, 6, 0), "moduli 4 and 6 are not coprime (share factor 2)"),
+    ],
+)
+def test_base_names_its_first_fault(moduli, message):
+    with pytest.raises(ValueError) as info:
+        build_base(moduli, 8)
+    assert str(info.value) == message
+
+
+def test_base_accepts_exactly_the_pairwise_coprime_moduli_in_range():
+    """The gcd(r_i, m_i) test against every pair, on seeded small sets
+    with moduli near both ends of the w=8 range."""
+    rng = random.Random(61)
+    draw = [*range(40), *range(240, 260)]
+    for _ in range(3000):
+        moduli = [rng.choice(draw) for _ in range(rng.randrange(2, 6))]
+        ok = all(2 <= m < 256 for m in moduli) and all(
+            math.gcd(a, b) == 1 for i, a in enumerate(moduli) for b in moduli[:i]
+        )
+        try:
+            build_base(moduli, 8)
+            assert ok, moduli
+        except ValueError:
+            assert not ok, moduli
+
+
+def test_inv_mi_is_built_on_first_read():
+    base = build_pm_base(16, 64)
+    assert "inv_Mi" not in vars(base)
+    assert base.Mi_mod == tuple((base.M // m) % m for m in base.moduli)
+    assert base.inv_Mi == tuple(pow(r, -1, m) for r, m in zip(base.Mi_mod, base.moduli))
+    assert vars(base)["inv_Mi"] is base.inv_Mi
+
+
 def test_build_base_product():
     base = build_base((251, 247), 8)
     assert base.M == 61997

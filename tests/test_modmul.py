@@ -79,13 +79,20 @@ def test_context_wide():
 
 
 def test_precomputed_residues():
-    p = 97
-    for j, m in enumerate(CTX97.bmp.moduli):
-        assert CTX97.m_inv_bmp[j] * (CTX97.bm.M % m) % m == 1
-        assert CTX97.pm_inv_bmp[j] * (CTX97.bm.M % m) % m == p % m
-    for i, m in enumerate(CTX97.bm.moduli):
-        # c_i = -(p * M/m_i)^-1 mod m_i, the two Bm scalings merged
-        assert CTX97.c_bm[i] * p * (CTX97.bm.M // m) % m == m - 1
+    """The channel constants' defining identities, with r_i = (M/m_i) mod m_i:
+    c_i*p*r_i = -1 on Bm, c'_j*M*r'_j = 1 and pc'_j*M*r'_j = p on Bm',
+    on CTX97 and on every FUSED_CASES shape."""
+    contexts = [CTX97]
+    for n, n2, w in FUSED_CASES:
+        bm, bmp, p, _ = _fused_bases(n, n2, w)
+        contexts.append(MontgomeryContext(p, bm, bmp))
+    for ctx in contexts:
+        p, bm, bmp = ctx.p, ctx.bm, ctx.bmp
+        for c, m in zip(ctx.c_bm, bm.moduli):
+            assert c * p * (bm.M // m) % m == m - 1
+        for c, pc, m in zip(ctx.c_bmp, ctx.pc_bmp, bmp.moduli):
+            assert c * bm.M * (bmp.M // m) % m == 1
+            assert pc * bm.M * (bmp.M // m) % m == p % m
 
 
 def test_to_mont_examples():
@@ -320,7 +327,7 @@ def test_context_holds_only_what_mont_mul_reads():
     for ctx in (CTX97, CTX97_ST):
         assert set(vars(ctx)) == {
             "p", "bm", "bmp", "n", "variant", "kparams", "bound",
-            "c_bm", "m_inv_bmp", "pm_inv_bmp", "_table", "_checked",
+            "c_bm", "c_bmp", "pc_bmp", "_table", "_checked",
         }
 
 
@@ -416,10 +423,9 @@ FUSED_CASES = (
 )
 
 
-@pytest.mark.parametrize("n, n2, w", FUSED_CASES)
-def test_fused_matches_op_by_op(n, n2, w):
-    """Same residues and the same counters as the reference composition,
-    for every kind and variant, on equal and unequal bases."""
+def _fused_bases(n, n2, w):
+    """Bm of n and Bm' of n2 sieved moduli, an odd p coprime to both
+    inside the sizing range, and the rng that drew p."""
     pool = [pm.m for pm in generate_pm_moduli(n + n2, w)]
     if n == n2:
         bm, bmp = RnsBase(pool[0::2], w), RnsBase(pool[1::2], w)
@@ -430,6 +436,14 @@ def test_fused_matches_op_by_op(n, n2, w):
     p = 0
     while math.gcd(p, bm.M * bmp.M) != 1:
         p = rng.randrange(limit // 2, limit - 1) | 1
+    return bm, bmp, p, rng
+
+
+@pytest.mark.parametrize("n, n2, w", FUSED_CASES)
+def test_fused_matches_op_by_op(n, n2, w):
+    """Same residues and the same counters as the reference composition,
+    for every kind and variant, on equal and unequal bases."""
+    bm, bmp, p, rng = _fused_bases(n, n2, w)
     for variant in VARIANTS:
         ctx = MontgomeryContext(p, bm, bmp, variant)
         for kind in BACKEND_KINDS:

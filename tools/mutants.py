@@ -75,6 +75,14 @@ MUTANTS = (
         ("tests/test_basegen.py::test_residues_match_plain_remainder",),
     ),
     Mutant(
+        "base-unit-check-bypassed", BASEGEN,
+        "        if not all(math.gcd(r, m) == 1 for r, m in zip(Mi_mod, moduli)):\n"
+        "            _name_fault(moduli, w)\n",
+        "",
+        ("tests/test_basegen.py::"
+         "test_base_accepts_exactly_the_pairwise_coprime_moduli_in_range",),
+    ),
+    Mutant(
         "winv-last-corrupted", BASEGEN,
         "return tuple([pow(W % m, -1, m) for W, m in zip(self.weights, self.moduli)])",
         "return tuple([pow(W % m, -1, m) for W, m in zip(self.weights, self.moduli)]"
@@ -126,6 +134,12 @@ MUTANTS = (
         ("tests/test_perfbench_contract.py::test_traced_run_is_correct[sweep]",),
     ),
     Mutant(
+        "pc-drops-p", MODMUL,
+        "pc_bmp=tuple([a * c % m for a, c, m in zip(bmp.residues(p), c_bmp, bmp.moduli)])",
+        "pc_bmp=tuple([c % m for a, c, m in zip(bmp.residues(p), c_bmp, bmp.moduli)])",
+        ("tests/test_modmul.py::test_precomputed_residues",),
+    ),
+    Mutant(
         "context-window-check-removed", MODMUL,
         "if self.kparams and self.bound > (1 - self.kparams.alpha) * bmp.M:",
         "if False:",
@@ -150,6 +164,12 @@ MUTANTS = (
         "sk-extra-modulus-unjudged", BASEEXT,
         "    backend.check_modulus(m_e)\n", "",
         ("tests/test_baseext.py::test_shenoy_kumaresan_config_errors",),
+    ),
+    Mutant(
+        "sk-quotient-unchecked", BASEEXT,
+        "    if k >= src.n:\n", "    if False:\n",
+        ("tests/test_baseext.py::"
+         "test_shenoy_kumaresan_rejects_a_recovered_k_of_n_or_more",),
     ),
     Mutant(
         "bench-pool-unjudged", "src/rnsmul/bench.py",
