@@ -25,21 +25,21 @@ from .rnscore import RnsInt, mrs_digits_vec
 from .wordmod import WordModBackend
 
 
-class ExtensionPair:
-    """A checked pair of bases, src to dst: one width, no shared factor.
+def check_pair(src: RnsBase, dst: RnsBase, names=("src", "dst")) -> None:
+    """The pair contract: one width, no shared factor; names word the error."""
+    a, b = names
+    if src.w != dst.w:
+        raise ValueError(f"mixed word sizes: {a} has w={src.w}, {b} has w={dst.w}")
+    if (g := math.gcd(src.M, dst.M)) != 1:
+        raise ValueError(f"{a} and {b} are not coprime: M and M' share factor {g}")
 
-    Holds no table: Szabo-Tanaka reduces the value its mixed-radix chain
-    ends with, the CRT-based extensions sum against src.Mi.
-    """
+
+class ExtensionPair:
+    """A pair of bases, src to dst, that passed check_pair.  It holds no
+    table: the extensions read the bases' own (src.Mi, src.weights)."""
 
     def __init__(self, src: RnsBase, dst: RnsBase):
-        if src.w != dst.w:
-            raise ValueError(f"mixed word sizes: src w={src.w}, dst w={dst.w}")
-        g = math.gcd(src.M, dst.M)
-        if g != 1:
-            raise ValueError(
-                f"source and destination bases are not coprime (gcd {g})"
-            )
+        check_pair(src, dst)
         self.src = src
         self.dst = dst
 
@@ -96,19 +96,17 @@ class KawamuraParams:
 
 def _xi_vec(values, base: RnsBase, backend: WordModBackend) -> list:
     """xi_i = x_i * (M/m_i)^-1 mod m_i, the CRT summand coefficients;
-    counted as one mulmod per channel."""
-    mods = backend.check_base(base)
-    backend.n_mul += len(mods)
-    return [x * c % m for x, c, m in zip(values, base.inv_Mi, mods)]
+    counted as one mulmod per channel.  The caller has judged base."""
+    backend.n_mul += base.n
+    return [x * c % m for x, c, m in zip(values, base.inv_Mi, base.moduli)]
 
 
-def crt_residues(xi, src: RnsBase, dst: RnsBase, k: int = 0) -> list:
-    """dst.residues(sum_i xi_i*(M/m_i) - k*M) over src: the CRT sum every
-    correction-based extension ends in, built once as a big integer.  The
-    residues equal the per-channel op chain's, which the caller counts
-    through ``WordModBackend.count_dot_mods``."""
-    x = sum(map(mul, xi, src.Mi))
-    return dst.residues(x - k * src.M if k else x)
+def crt_sum(xi, src: RnsBase) -> int:
+    """sum_i xi_i*(M/m_i) over src as one big integer: the CRT sum every
+    extension but Szabo-Tanaka reduces, less k*M for its quotient k, into
+    the destination base.  The residues equal the per-channel op chains',
+    which the caller counts through ``WordModBackend.count_dot_mods``."""
+    return sum(map(mul, xi, src.Mi))
 
 
 def count_rower(backend: WordModBackend, n: int) -> None:
@@ -132,20 +130,26 @@ def rower_estimate(xi, params: KawamuraParams) -> int:
     return (params.alpha_fp + sum([x >> sh for x in xi])) >> params.q
 
 
+def _rower(values, params: KawamuraParams, backend: WordModBackend) -> tuple:
+    """xi on params.base and its estimated quotient k, both counted."""
+    xi = _xi_vec(values, params.base, backend)
+    count_rower(backend, len(xi))
+    return xi, rower_estimate(xi, params)
+
+
 def compute_k_hat(x: RnsInt, params: KawamuraParams, backend: WordModBackend) -> int:
     """Estimated CRT quotient of x; exact when value(x) < (1-alpha)*M."""
     params.check(x.base)
-    xi = _xi_vec(x.residues, x.base, backend)
-    count_rower(backend, len(xi))
-    return rower_estimate(xi, params)
+    backend.check_base(x.base)
+    return _rower(x.residues, params, backend)[1]
 
 
 # -- vector cores: the op-by-op reference path ------------------------------
-# Each counts as it computes and ends in one reduction into the destination
-# base, counted as dot_mod chains: crt_residues of sum_i xi_i*(M/m_i) - k*M
-# (Bajard-Imbert passes no k and keeps the excess), or for Szabo-Tanaka the
-# value its mixed-radix chain holds.  modmul.mont_mul merges these stages
-# into fused value passes and charges their counts from a per-context table.
+# Reached only from the extend_* below, which judge the operand and both
+# bases, and kept apart because perfbench's tracer names them.  Each counts
+# as it computes and reduces crt_sum less k*M (Bajard-Imbert: no k), or the
+# value Szabo-Tanaka's mixed-radix chain holds, into the destination base.
+# modmul.mont_mul fuses the same statements and charges a context's table.
 
 
 def st_extend_vec(values, pair: ExtensionPair, backend: WordModBackend) -> List[int]:
@@ -158,19 +162,17 @@ def st_extend_vec(values, pair: ExtensionPair, backend: WordModBackend) -> List[
 def kawamura_extend_vec(
     values, pair: ExtensionPair, params: KawamuraParams, backend: WordModBackend
 ) -> List[int]:
-    src = pair.src
-    xi = _xi_vec(values, src, backend)
-    count_rower(backend, len(xi))
-    k = rower_estimate(xi, params)
-    backend.count_dot_mods(src.n, pair.dst.n, k)
-    return crt_residues(xi, src, pair.dst, k)
+    src, dst = pair.src, pair.dst
+    xi, k = _rower(values, params, backend)
+    backend.count_dot_mods(src.n, dst.n, k)
+    return dst.residues(crt_sum(xi, src) - k * src.M)
 
 
 def bajard_imbert_vec(values, pair: ExtensionPair, backend: WordModBackend) -> List[int]:
     src, dst = pair.src, pair.dst
     xi = _xi_vec(values, src, backend)
     backend.count_dot_mods(src.n, dst.n)
-    return crt_residues(xi, src, dst)
+    return dst.residues(crt_sum(xi, src))
 
 
 # -- public operations --------------------------------------------------------
@@ -221,13 +223,13 @@ def extend_shenoy_kumaresan(
 ) -> RnsInt:
     """Exact extension recovering k through the extra modulus m_e.
 
-    Requires x_e = value(x) mod m_e.  k is recovered from
-    k = (sum_i xi_i*(M/m_i) - x) * M^-1 mod m_e, which is exact because
-    k < n < m_e; the destination residues then follow as in the other
-    correction-based extensions.  m_e is judged by the backend's modulus
-    bounds before anything is counted.  A recovered k >= n raises, since
-    x_e cannot then be value(x) mod m_e; a wrong x_e still passes, with a
-    wrong extension, when its k lands below n, about n/m_e of the time.
+    Requires x_e = value(x) mod m_e.  From the CRT sum s, k is recovered
+    as (s - x) * M^-1 mod m_e, which is exact because k < n < m_e; the
+    destination residues are those of s - k*M, from the same sum.  m_e is
+    judged by the backend's modulus bounds before anything is counted.  A
+    recovered k >= n raises, since x_e cannot then be value(x) mod m_e; a
+    wrong x_e still passes, with a wrong extension, when its k lands below
+    n, about n/m_e of the time.
     """
     _check_operand(x, pair, backend)
     src = pair.src
@@ -244,8 +246,8 @@ def extend_shenoy_kumaresan(
     m_inv_e = pow(src.M % m_e, -1, m_e)
     xi = _xi_vec(x.residues, src, backend)
     backend.count_dot_mods(src.n, 1)
-    sum_e = sum(map(mul, xi, src.Mi)) % m_e
-    k = backend.mulmod(backend.submod(sum_e, x_e, m_e), m_inv_e, m_e)
+    s = crt_sum(xi, src)
+    k = backend.mulmod(backend.submod(s % m_e, x_e, m_e), m_inv_e, m_e)
     if k >= src.n:
         raise ValueError(
             f"recovered CRT quotient k={k} is not below n={src.n}: "
@@ -253,4 +255,4 @@ def extend_shenoy_kumaresan(
         )
     dst = pair.dst
     backend.count_dot_mods(src.n, dst.n, k)
-    return RnsInt(tuple(crt_residues(xi, src, dst, k)), dst)
+    return RnsInt(tuple(dst.residues(s - k * src.M)), dst)

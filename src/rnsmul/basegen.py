@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import accumulate
-from operator import mul
+from operator import index, mul
 from typing import IO, Iterable, List, Sequence
 
 from .wordmod import PmModulus, check_width, pm_modulus
@@ -76,7 +76,7 @@ class RnsBase:
 
     def __init__(self, moduli: Sequence[int], w: int):
         check_width(w)
-        moduli = tuple(int(m) for m in moduli)
+        moduli = tuple(map(index, moduli))
         if len(moduli) < 2:
             raise ValueError(f"need at least 2 moduli, got {len(moduli)}")
         if min(moduli) < 2 or max(moduli) >= 1 << w:

@@ -4,7 +4,7 @@ One multiplication computes z = x*y*M^-1 mod p, counted as word operations
 only: channel products, one approximate extension (Bajard-Imbert) to carry
 the Montgomery quotient across, the exact division by M in the second
 base, and one correction-quality extension (Szabo-Tanaka or Kawamura) back.
-The values themselves take two big-integer CRT sums, each reduced into the
+The values take two CRT sums (``baseext.crt_sum``), each reduced into the
 other base through its remainder tree; the residues equal the word chains'.
 
 Values in the pipeline are bounded by (n+2)*p rather than the textbook 2p:
@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import mul
 from typing import NamedTuple
 
 from .basegen import generate_pm_moduli, split_bases
-from .baseext import KawamuraParams, count_rower, crt_residues, rower_estimate
+from .baseext import KawamuraParams, check_pair, count_rower, crt_sum, rower_estimate
 from .oracle import check_mont
 from .rnscore import RnsInt, from_rns_crt, to_rns
 from .wordmod import InstructionSim, WordModBackend
@@ -82,7 +81,7 @@ class MontgomeryContext:
     >= 3, the variant name goes through VARIANT_ALIASES, omitted Kawamura
     parameters are derived for bmp, given ones must have been built for
     bmp with a window (1-alpha)*M' that holds the bound (n+2)*p, and the
-    bases must share their width and no factor.  ``charges`` records the
+    bases must pass ``baseext.check_pair``.  ``charges`` records the
     backend kinds that passed their base check, which a race can at most
     repeat; pass a per-thread backend to mont_mul.
     """
@@ -151,10 +150,7 @@ class MontgomeryContext:
                 f"{bm.M.bit_length()}) and M' > 2(n+2)*p "
                 f"({need_mp.bit_length()} bits, have {bmp.M.bit_length()})"
             )
-        if bm.w != bmp.w:
-            raise ValueError(f"mixed word sizes: Bm has w={bm.w}, Bm' has w={bmp.w}")
-        if (g := math.gcd(bm.M, bmp.M)) != 1:
-            raise ValueError(f"Bm and Bm' are not coprime: M and M' share factor {g}")
+        check_pair(bm, bmp, ("Bm", "Bm'"))
         if self.kparams and self.bound > (1 - self.kparams.alpha) * bmp.M:
             raise ValueError(
                 f"Kawamura offset alpha={self.kparams.alpha} leaves the exactness "
@@ -208,11 +204,11 @@ def mont_mul(
     """One Montgomery product: result value is x*y*M^-1 mod p up to a
     multiple of p, below (n+2)*p, represented on both bases.
 
-    On Bm, xi_i = x_i*y_i*c_i; t = sum_i xi_i*M/m_i on Bm' keeps the
-    Bajard-Imbert excess; on Bm', xi'_j = x'_j*y'_j*c'_j + t_j*p*c'_j and
-    the result's w_j = xi'_j*r'_j; back on Bm, sum_j xi'_j*M'/m'_j less
-    k*M', with k from the rower accumulator (Kawamura) or exact
-    (Szabo-Tanaka).  The constants are _channel_tables'.
+    On Bm, xi_i = x_i*y_i*c_i, and t, the CRT sum (baseext.crt_sum) on
+    Bm', keeps the Bajard-Imbert excess; on Bm', xi'_j = x'_j*y'_j*c'_j +
+    t_j*p*c'_j and the result's w_j = xi'_j*r'_j; back on Bm, the CRT sum
+    over Bm' less k*M', k from the rower estimate (Kawamura), or mod M'
+    (Szabo-Tanaka, exact).  The constants are _channel_tables'.
 
     mont_pair and mont_mul are the only producers of valid pairs; a pair
     whose halves disagree gives a wrong product that only check=True
@@ -230,7 +226,7 @@ def mont_mul(
         a * b * c % m
         for a, b, c, m in zip(x.in_bm.residues, y.in_bm.residues, ctx.c_bm, mods)
     ]
-    t = crt_residues(xi, bm, bmp)
+    t = bmp.residues(crt_sum(xi, bm))
     mods = bmp.moduli
     xi = [
         (a * b * c + tj * d) % m
@@ -240,9 +236,9 @@ def mont_mul(
     ]
     w = [v * r % m for v, r, m in zip(xi, bmp.Mi_mod, mods)]
     if ctx.variant == VARIANT_KAWAMURA:
-        z = crt_residues(xi, bmp, bm, rower_estimate(xi, ctx.kparams))
+        z = bm.residues(crt_sum(xi, bmp) - rower_estimate(xi, ctx.kparams) * bmp.M)
     else:
-        z = bm.residues(sum(map(mul, xi, bmp.Mi)) % bmp.M)
+        z = bm.residues(crt_sum(xi, bmp) % bmp.M)
     backend.charge(table)
     result = MontPair(RnsInt(tuple(z), bm), RnsInt(tuple(w), bmp))
     if check:

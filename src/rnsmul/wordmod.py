@@ -268,8 +268,8 @@ class WordModBackend:
 
     def count_dot_mods(self, n, c, k=None):
         """Count c dot_mod chains of n terms, the op chains a CRT sum
-        (``baseext.crt_residues``) stands for: per channel n redmod, n mulmod
-        and n-1 addmod, plus, when a quotient k is given, redmod(k), a
+        (``baseext.crt_sum``) reduced into c channels stands for: n redmod,
+        n mulmod and n-1 addmod each, plus, with a quotient k, redmod(k), a
         mulmod by M and a submod.  k keeps redmod's contract: a w-bit word."""
         if k is not None:
             self._check_word(k)

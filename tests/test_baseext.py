@@ -40,6 +40,11 @@ def test_pair_rejects_shared_factor():
         ExtensionPair(build_base((3, 5), 8), build_base((7, 9), 8))
 
 
+def test_pair_rejects_mixed_widths():
+    with pytest.raises(ValueError, match="mixed word sizes: src has w=8, dst has w=16"):
+        ExtensionPair(SRC2, RnsBase((65521, 65519), 16))
+
+
 def test_st_examples():
     be = make_backend("modulo", 8)
     got = extend_szabo_tanaka(to_rns(247, SRC2), PAIR22, be)
@@ -81,6 +86,12 @@ def test_kawamura_params_config_errors():
         KawamuraParams.for_base(SRC2, alpha=Fraction(999, 1000))
     with pytest.raises(ValueError, match="q="):
         KawamuraParams.for_base(SRC2, q=0)
+
+
+def test_kawamura_params_accept_eps_equal_to_alpha():
+    # n = 2, q = 8, c_max = 256 - 253 = 3: eps = 2/256 + 2*3/256 = 8/256
+    params = KawamuraParams(RnsBase((255, 253), 8), 8, 8)
+    assert params.eps == params.alpha == Fraction(1, 32)
 
 
 def test_k_hat_zero():

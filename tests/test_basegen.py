@@ -32,6 +32,11 @@ def test_sieve_exhaustion():
         generate_pm_moduli(256, 8)
 
 
+def test_sieve_needs_two_moduli():
+    with pytest.raises(ValueError, match="at least 2 moduli, got n=1"):
+        generate_pm_moduli(1, 8)
+
+
 def test_sieve_deterministic():
     for n, w in ((4, 8), (16, 32), (32, 64)):
         a = generate_pm_moduli(n, w)
@@ -164,6 +169,15 @@ def test_base_validation():
         build_base((3, 256), 8)
     with pytest.raises(ValueError, match="out of range"):
         build_base((0, 3), 8)
+
+
+def test_base_takes_integer_moduli_only():
+    # a float is no modulus, rather than being truncated to one
+    with pytest.raises(TypeError):
+        RnsBase((3.7, 5), 8)
+    # a bool is the integer 1, which no base admits
+    with pytest.raises(ValueError, match="modulus 1 out of range"):
+        RnsBase((True, 5), 8)
 
 
 def test_pm_params_rejects_foreign_width():

@@ -79,11 +79,33 @@ def test_verify_base_file_corrupted(tmp_path, capsys):
 
 
 def test_verify_tiny_passes_and_is_deterministic(capsys):
+    """The tiny suites' output, pinned line for line."""
     assert main(["verify", "--scale", "tiny", "--seed", "9"]) == 0
-    first = capsys.readouterr().out
-    assert first.count("PASS") == 8 and "FAIL" not in first
-    assert main(["verify", "--scale", "tiny", "--seed", "9"]) == 0
-    assert capsys.readouterr().out == first
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS wordmod-agreement-w8: 372030 cases",
+        "PASS pm-reduce-w8-exhaustive: 262144 cases",
+        "PASS basegen: 9 cases",
+        "PASS rnscore-roundtrip-357: 9210 cases",
+        "PASS baseext-exhaustive-tiny: 217200 cases",
+        "PASS kawamura-k-exhaustive-tiny: 30999 cases",
+        "PASS montgomery-tiny-p97: 16776 cases",
+        "PASS isa-roundtrip: 10006 cases",
+    ]
+
+
+def test_verify_prints_a_failing_suite_and_exits_1(monkeypatch, capsys):
+    from rnsmul import verify
+
+    def broken(seed):
+        return verify.SuiteResult("broken", 2, [f"seed {seed}: wrong residue"])
+
+    monkeypatch.setattr(verify, "TINY_SUITES", [verify.suite_basegen, broken])
+    assert main(["verify", "--scale", "tiny", "--seed", "4"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS basegen: 9 cases",
+        "FAIL broken: 1 failures in 2 cases",
+        "  seed 4: wrong residue",
+    ]
 
 
 def test_verify_full_scale_suites_pass():

@@ -286,6 +286,28 @@ def test_constructor_rejects_even_or_small_p():
             MontgomeryContext(p, CTX97.bm, CTX97.bmp)
 
 
+def test_constructor_accepts_the_smallest_p():
+    bm, bmp = RnsBase((251, 247), 8), RnsBase((253, 241), 8)
+    be = make_backend("inst", 8)
+    for variant in VARIANTS:
+        ctx = MontgomeryContext(3, bm, bmp, variant)
+        for a in range(3):
+            for b in range(3):
+                z = mont_mul(ctx, to_mont(ctx, a), to_mont(ctx, b), be, check=True)
+                assert from_mont(ctx, z, be) == a * b % 3, (variant, a, b)
+
+
+def test_constructor_rejects_p_sharing_a_factor_with_a_base():
+    # Bm = (255, 251) and Bm' = (253, 247); 255 = 3*5*17, 253 = 11*23
+    for p, message in (
+        (3 * 97, "p and M share factor 3"),
+        (11 * 97, "p and M' share factor 11"),
+    ):
+        for variant in VARIANTS:
+            with pytest.raises(ValueError, match=message):
+                MontgomeryContext(p, CTX97.bm, CTX97.bmp, variant)
+
+
 def test_constructor_rejects_bases_of_mixed_widths():
     bmp = RnsBase((65521, 65519), 16)
     for variant in VARIANTS:

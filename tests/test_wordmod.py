@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from rnsmul.baseext import crt_residues
+from rnsmul.baseext import crt_sum
 from rnsmul.basegen import build_base
 from rnsmul.rnscore import mrs_digits_vec
 from rnsmul.wordmod import (
@@ -74,6 +74,10 @@ def test_pm_reduce_examples():
     assert be.pm_reduce(60000, pm) == 60000 % 251 == 11
     assert be.pm_reduce(0, pm) == 0
     assert be.pm_reduce(251, pm) == 0
+    # the domain is 2w bits, its top included
+    assert be.pm_reduce(2**16 - 1, pm) == (2**16 - 1) % 251
+    with pytest.raises(ValueError, match="exceeds 16 bits"):
+        be.pm_reduce(2**16, pm)
 
 
 def test_pm_reduce_exhaustive_small_c():
@@ -90,8 +94,12 @@ def test_input_rejection():
             be.addmod(0, 0, 0)
         with pytest.raises(ValueError, match="modulus"):
             be.addmod(0, 0, 1)
-        with pytest.raises(ValueError, match="unreduced"):
-            be.addmod(251, 1, 251)
+        # the top operand m is rejected on either side of addmod and mulmod
+        for a, b in ((251, 1), (0, 251)):
+            with pytest.raises(ValueError, match="unreduced"):
+                be.addmod(a, b, 251)
+            with pytest.raises(ValueError, match="unreduced"):
+                be.mulmod(b, a, 251)
         with pytest.raises(ValueError, match="unreduced"):
             be.submod(1, 255, 251)
         with pytest.raises(ValueError, match="unreduced"):
@@ -362,9 +370,10 @@ def dot_chain(be, values, consts, mods, k=None, M=0):
 
 def crt_kernel(be, values, src, dst, k=None):
     """The CRT kernel as the extensions run it: count_dot_mods, then
-    crt_residues (k=None passes no quotient and counts no correction)."""
+    crt_sum less k*M reduced into dst (k=None passes no quotient and counts
+    no correction)."""
     be.count_dot_mods(len(values), dst.n, k)
-    return crt_residues(values, src, dst, k or 0)
+    return dst.residues(crt_sum(values, src) - (k or 0) * src.M)
 
 
 def test_dot_mods_matches_per_channel_op_chain():
@@ -396,7 +405,7 @@ def test_dot_mods_matches_per_channel_op_chain():
 
 @pytest.mark.parametrize("n", [5, 9, 64])
 def test_dot_mods_remainder_tree_matches_op_chain(n):
-    """Above TREE_LEAF destination channels crt_residues reduces through the
+    """Above TREE_LEAF destination channels the CRT sum reduces through the
     destination base's remainder tree; each channel must still equal the op
     chain, for a positive sum and for a negative sum - k*M, on every kind."""
     from rnsmul.basegen import TREE_LEAF, RnsBase, generate_pm_moduli

@@ -58,8 +58,8 @@ MUTANTS = (
     ),
     Mutant(
         "st-reduction-changed", MODMUL,
-        "z = bm.residues(sum(map(mul, xi, bmp.Mi)) % bmp.M)",
-        "z = bm.residues(sum(map(mul, xi, bmp.Mi)))",
+        "z = bm.residues(crt_sum(xi, bmp) % bmp.M)",
+        "z = bm.residues(crt_sum(xi, bmp))",
         ("tests/test_modmul.py::test_variant_agreement",),
     ),
     Mutant(
@@ -123,8 +123,8 @@ MUTANTS = (
     ),
     Mutant(
         "bajard-imbert-adds-n-m", BASEEXT,
-        "    return crt_residues(xi, src, dst)\n",
-        "    return crt_residues(xi, src, dst, -src.n)\n",
+        "    return dst.residues(crt_sum(xi, src))\n",
+        "    return dst.residues(crt_sum(xi, src) + src.n * src.M)\n",
         ("tests/test_baseext.py::test_bajard_imbert_excess_bound_exhaustive",),
     ),
     Mutant(
@@ -179,6 +179,72 @@ MUTANTS = (
         "                    check(m)\n",
         "",
         ("tests/test_cli.py::test_bench_base_file_pm_needs_pseudo_mersenne_pool",),
+    ),
+    Mutant(
+        "addmod-accepts-b-of-m", WORDMOD,
+        "    def addmod(self, a: int, b: int, m: int) -> int:\n"
+        "        if not (\n"
+        "            self._m_min <= m <= self._m_max and m % 2 >= self._m_odd\n"
+        "            and 0 <= a < m and 0 <= b < m\n",
+        "    def addmod(self, a: int, b: int, m: int) -> int:\n"
+        "        if not (\n"
+        "            self._m_min <= m <= self._m_max and m % 2 >= self._m_odd\n"
+        "            and 0 <= a < m and 0 <= b <= m\n",
+        ("tests/test_wordmod.py::test_input_rejection",),
+    ),
+    Mutant(
+        "mulmod-accepts-a-of-m", WORDMOD,
+        "    def mulmod(self, a: int, b: int, m: int) -> int:\n"
+        "        if not (\n"
+        "            self._m_min <= m <= self._m_max and m % 2 >= self._m_odd\n"
+        "            and 0 <= a < m and 0 <= b < m\n",
+        "    def mulmod(self, a: int, b: int, m: int) -> int:\n"
+        "        if not (\n"
+        "            self._m_min <= m <= self._m_max and m % 2 >= self._m_odd\n"
+        "            and 0 <= a <= m and 0 <= b < m\n",
+        ("tests/test_wordmod.py::test_input_rejection",),
+    ),
+    Mutant(
+        "pm-reduce-accepts-2-to-the-2w", WORDMOD,
+        "if not 0 <= a < (1 << (2 * w)):", "if not 0 <= a <= (1 << (2 * w)):",
+        ("tests/test_wordmod.py::test_pm_reduce_examples",),
+    ),
+    Mutant(
+        "kawamura-rejects-eps-of-alpha", BASEEXT,
+        "        if self.eps > self.alpha:\n", "        if self.eps >= self.alpha:\n",
+        ("tests/test_baseext.py::test_kawamura_params_accept_eps_equal_to_alpha",),
+    ),
+    Mutant(
+        "context-rejects-p-of-3", MODMUL,
+        "if p < 3 or p % 2 == 0:", "if p <= 3 or p % 2 == 0:",
+        ("tests/test_modmul.py::test_constructor_accepts_the_smallest_p",),
+    ),
+    Mutant(
+        "context-p-gcd-unchecked", MODMUL,
+        "            if g != 1:\n                raise ValueError(f\"{name} share factor {g}\")\n",
+        "            pass\n",
+        ("tests/test_modmul.py::test_constructor_rejects_p_sharing_a_factor_with_a_base",),
+    ),
+    Mutant(
+        "base-truncates-moduli", BASEGEN,
+        "moduli = tuple(map(index, moduli))", "moduli = tuple(map(int, moduli))",
+        ("tests/test_basegen.py::test_base_takes_integer_moduli_only",),
+    ),
+    Mutant(
+        "sieve-accepts-one-modulus", BASEGEN,
+        "    if n < 2:\n", "    if n < 1:\n",
+        ("tests/test_basegen.py::test_sieve_needs_two_moduli",),
+    ),
+    Mutant(
+        "pair-width-unchecked", BASEEXT,
+        "    if src.w != dst.w:\n", "    if False:\n",
+        ("tests/test_baseext.py::test_pair_rejects_mixed_widths",
+         "tests/test_modmul.py::test_constructor_rejects_bases_of_mixed_widths"),
+    ),
+    Mutant(
+        "verify-failure-exits-0", "src/rnsmul/cli.py",
+        "    return 1 if failed else 0\n", "    return 0\n",
+        ("tests/test_cli.py::test_verify_prints_a_failing_suite_and_exits_1",),
     ),
 )
 
